@@ -6,6 +6,14 @@ eta_{t-1} with innovation standard deviation sigma, or AR(1)
 eps_t = rho eps_{t-1} + eta_t started from its stationary law and normalized
 so the marginal variance is sigma^2 (covariance sigma^2 rho^|i-j|).
 
+Every covariance operator norm is computed without power iteration or a
+dense eigensolver.  iid and MA(1) norms are closed forms.  The AR(1)
+covariance is a Kac-Murdock-Szego matrix (Kac, Murdock & Szego 1953): its
+eigenvalues are sigma^2 (1 - r^2) / (1 - 2 r cos th + r^2), r = |rho|, at the
+roots th of f(th) = sin((T+1) th) - 2 r sin(T th) + r^2 sin((T-1) th), and
+the top one comes from the smallest root, which bisection finds in O(1) time
+in T.
+
 Reproducibility contract: sampling is a pure function of (spec, d, horizon,
 seed), using numpy's PCG64 generator.  Parallel replications must derive
 disjoint seeds via `replication_seed(seed, r)`, which mixes the replication
@@ -13,13 +21,12 @@ index through a SeedSequence.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.signal import lfilter
 
-from .linalg import operator_norm_safe
 from .structure import StructureBasis
 
 KINDS = ("iid", "ma1", "ar1")
@@ -35,6 +42,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("sigma", "theta", "rho"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.kind == "ar1" and not abs(self.rho) < 1:
@@ -72,10 +84,16 @@ def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray
     # sigma^2 rho^|i-j| reported by covariance_matrix.  Each row starts from
     # the stationary law N(0, sigma^2).
     rho = spec.rho
-    eps0 = spec.sigma * rng.standard_normal((d, 1))
-    eta = spec.sigma * np.sqrt(1.0 - rho ** 2) * rng.standard_normal((d, horizon))
-    out, _ = lfilter([1.0], [1.0, -rho], eta, axis=1, zi=rho * eps0)
-    return out
+    y = np.empty((d, horizon + 1))
+    y[:, :1] = spec.sigma * rng.standard_normal((d, 1))
+    y[:, 1:] = spec.sigma * np.sqrt(1.0 - rho ** 2) * rng.standard_normal((d, horizon))
+    # y_t = eta_t + rho y_{t-1} as a log-depth doubling scan: after the pass
+    # with shift s, column t holds sum_{j < 2s} rho^j (column t - j).
+    shift, coef = 1, rho
+    while shift <= horizon and coef != 0.0:
+        y[:, shift:] += coef * y[:, :-shift]
+        shift, coef = 2 * shift, coef * coef
+    return y[:, 1:]
 
 
 def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:
@@ -91,16 +109,20 @@ def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:
         first[0] = 1.0 + th ** 2
         if horizon > 1:
             first[1] = -th
-        return s2 * toeplitz(first)
-    return s2 * toeplitz(spec.rho ** np.arange(horizon))
+    else:
+        first = spec.rho ** np.arange(horizon)
+    idx = np.arange(horizon)
+    return s2 * first[np.abs(idx[:, None] - idx[None, :])]
 
 
 def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
     """Operator norm of the row covariance plus its closed-form upper bound.
 
     iid and MA(1) values are analytic (MA(1) via the tridiagonal-Toeplitz
-    eigenvalues sigma^2 (1 + theta^2 - 2 theta cos(l pi / (T+1)))); the AR(1)
-    norm is computed numerically and reported against the bound
+    eigenvalues sigma^2 (1 + theta^2 - 2 theta cos(l pi / (T+1)))).  The
+    AR(1) norm is the top Kac-Murdock-Szego eigenvalue (Kac, Murdock & Szego
+    1953), found by bisection on its scalar root equation in O(1) time in T,
+    with no power iteration; it is reported as exact=False against the bound
     sigma^2 (1 + |rho|) / (1 - |rho|).
     """
     if horizon < 1:
@@ -117,18 +139,41 @@ def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
             bound=s2 * (1.0 + abs(th)) ** 2,
             exact=True,
         )
-    rho = spec.rho
-    # Flipping the sign of every other coordinate maps the rho < 0 Toeplitz
-    # covariance onto the |rho| one without changing the spectrum; the
-    # positive matrix keeps the deterministic power-iteration start
-    # well-aligned with the top eigenvector.
-    flipped = NoiseSpec("ar1", spec.sigma, rho=abs(rho))
-    op = operator_norm_safe(covariance_matrix(flipped, horizon), tol=1e-13)
+    r = abs(spec.rho)
     return CovarianceSummary(
-        op_norm=op,
-        bound=s2 * (1.0 + abs(rho)) / (1.0 - abs(rho)),
+        op_norm=s2 * _kms_top_eigenvalue(r, horizon),
+        bound=s2 * (1.0 + r) / (1.0 - r),
         exact=False,
     )
+
+
+def _kms_top_eigenvalue(r: float, horizon: int) -> float:
+    """Largest eigenvalue of the T x T matrix [r^|i-j|], 0 <= r < 1.
+
+    The spectrum depends on |rho| only: flipping the sign of every other
+    coordinate maps rho onto -rho.  The smallest root of the KMS equation f
+    (module docstring) is bracketed by (0, pi / (T+1)): f > 0 near 0 and
+    f < 0 at pi / (T+1).  Both f and the eigenvalue's denominator are
+    evaluated in half-angle forms that do not cancel as r -> 1.
+    """
+    if r == 0.0 or horizon == 1:
+        return 1.0
+    gap = (1.0 - r) ** 2
+
+    def f(th):
+        # sin((T+/-1) th) expanded around sin(T th) and cos(T th)
+        return (math.sin(horizon * th) * (gap - 2.0 * (1.0 + r * r) * math.sin(th / 2) ** 2)
+                + (1.0 - r * r) * math.sin(th) * math.cos(horizon * th))
+
+    lo, hi = 0.0, math.pi / (horizon + 1)
+    mid = hi / 2
+    while lo < mid < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    return (1.0 - r) * (1.0 + r) / (gap + 4.0 * r * math.sin(mid / 2) ** 2)
 
 
 def projected_noise_norm_bound(spec: NoiseSpec, basis: StructureBasis) -> float:

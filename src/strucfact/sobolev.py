@@ -16,6 +16,7 @@ decays like N^{-2 beta}.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,20 +65,22 @@ def gen_smooth_coefficients(spec: SmoothFactorSpec, seed: int):
     return a0, a * factor[:, None], b * factor[:, None]
 
 
+@functools.lru_cache(maxsize=8)
+def _trig_table(n_terms: int, horizon: int) -> np.ndarray:
+    """Read-only (2 n_terms) x horizon table sqrt(2) [cos(2 pi n x); sin(2 pi n x)]."""
+    x = np.arange(1, horizon + 1) / horizon
+    phase = 2.0 * np.pi * np.arange(1, n_terms + 1)[:, None] * x
+    table = np.sqrt(2.0) * np.vstack([np.cos(phase), np.sin(phase)])
+    table.flags.writeable = False
+    return table
+
+
 def evaluate_rows(a0, a, b, horizon: int) -> np.ndarray:
     """Evaluate the trigonometric polynomials at x = t / horizon, t = 1..horizon."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    n_terms = a.shape[1]
-    x = np.arange(1, horizon + 1) / horizon
-    w = np.tile(np.asarray(a0, dtype=float)[:, None], (1, horizon))
-    for n in range(1, n_terms + 1):
-        phase = 2.0 * np.pi * n * x
-        w += np.sqrt(2.0) * (
-            a[:, n - 1][:, None] * np.cos(phase)[None, :]
-            + b[:, n - 1][:, None] * np.sin(phase)[None, :]
-        )
-    return w
+    a0 = np.asarray(a0, dtype=float)[:, None]
+    return a0 + np.hstack([a, b]) @ _trig_table(a.shape[1], horizon)
 
 
 def gen_smooth_dictionary(spec: SmoothFactorSpec, horizon: int, seed: int) -> np.ndarray:

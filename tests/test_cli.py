@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -208,3 +211,43 @@ class TestRateCheck:
         report = json.loads((out / "rate_report.json").read_text())
         assert report["optimal_cutoff"] >= 1
         assert report["risk_at_cutoff"] >= report["best_grid_risk"] - 1e-15
+
+
+class TestNoiseConfigErrors:
+    BAD_NOISE = [
+        {"kind": "ar1", "sigma": "1", "rho": 0.5},
+        {"kind": "ar1", "sigma": 1.0, "rho": "0.5"},
+        {"kind": "iid", "sigma": float("nan")},
+        {"kind": "iid", "sigma": float("inf")},
+        {"kind": "ma1", "sigma": 1.0, "theta": float("nan")},
+        {"kind": "iid", "sigma": True},
+    ]
+
+    @pytest.mark.parametrize("noise", BAD_NOISE)
+    def test_simulate_exits_2_without_output(self, tmp_path, capsys, noise):
+        code, out = run(tmp_path, "simulate", dict(SIM_CFG, noise=noise), "sim")
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("noise", BAD_NOISE[:3])
+    def test_rate_check_exits_2_without_output(self, tmp_path, capsys, noise):
+        cfg = dict(TestRateCheck().small_cfg(), noise=noise)
+        code, out = run(tmp_path, "rate-check", cfg, "rate")
+        assert code == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    import strucfact
+    src = str(Path(strucfact.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, strucfact.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

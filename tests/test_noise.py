@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,60 @@ class TestProjectedNoiseBound:
         emp_cov = proj.T @ proj / proj.shape[0]
         emp_op = np.linalg.eigvalsh(emp_cov)[-1]
         assert emp_op <= projected_noise_norm_bound(spec, basis) * 1.1
+
+
+class TestNoiseSpecValues:
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", "1"), ("rho", "0.5"), ("theta", "0.1"),
+        ("sigma", float("nan")), ("sigma", float("inf")),
+        ("theta", float("nan")), ("rho", float("-inf")),
+        ("sigma", True), ("theta", False), ("rho", None), ("sigma", [1.0]),
+    ])
+    def test_rejects_non_finite_or_non_real(self, field, value):
+        kwargs = {"sigma": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec("ar1", **kwargs)
+
+    @pytest.mark.parametrize("sigma", [1, np.float64(0.5), np.int64(2)])
+    def test_accepts_real_numbers(self, sigma):
+        assert NoiseSpec("ma1", sigma=sigma, theta=0.3).sigma == sigma
+
+
+class TestAr1OpNormClosedForm:
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, -0.9, 0.99])
+    @pytest.mark.parametrize("horizon", [2, 3, 250, 1024])
+    def test_matches_dense_eigvalsh(self, rho, horizon):
+        spec = NoiseSpec("ar1", sigma=1.5, rho=rho)
+        oracle = np.linalg.eigvalsh(covariance_matrix(spec, horizon))[-1]
+        assert sigma_op_norm(spec, horizon).op_norm == pytest.approx(oracle, rel=1e-11)
+
+    def test_horizon_one_is_marginal_variance(self):
+        assert sigma_op_norm(NoiseSpec("ar1", 2.0, rho=0.7), 1).op_norm == 4.0
+
+    def test_long_horizon_is_fast_and_below_bound(self):
+        spec = NoiseSpec("ar1", sigma=1.0, rho=0.9)
+        sigma_op_norm(spec, 100)  # warm-up
+        start = time.perf_counter()
+        summary = sigma_op_norm(spec, 10 ** 5)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05
+        assert summary.op_norm <= summary.bound
+        assert summary.op_norm == pytest.approx(summary.bound, rel=1e-5)
+
+
+class TestAr1Sampler:
+    @pytest.mark.parametrize("rho", [0.5, -0.9, 0.99, 0.0])
+    def test_matches_reference_recursion(self, rho):
+        sigma, d, horizon, seed = 1.3, 4, 300, 21
+        rng = np.random.default_rng(seed)
+        eps0 = sigma * rng.standard_normal((d, 1))
+        eta = sigma * np.sqrt(1.0 - rho ** 2) * rng.standard_normal((d, horizon))
+        ref = np.empty((d, horizon))
+        for i in range(d):
+            prev = float(eps0[i, 0])
+            for t in range(horizon):
+                prev = float(eta[i, t]) + rho * prev
+                ref[i, t] = prev
+        got = sample_noise(NoiseSpec("ar1", sigma, rho=rho), d, horizon, seed)
+        assert got.shape == (d, horizon)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

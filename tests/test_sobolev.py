@@ -3,7 +3,7 @@ import pytest
 
 from strucfact import (SmoothFactorSpec, bias_of_truncation, build_periodic,
                        build_trig, gen_smooth_dictionary, optimal_cutoff)
-from strucfact.sobolev import gen_smooth_coefficients
+from strucfact.sobolev import evaluate_rows, gen_smooth_coefficients
 
 
 def mean_bias(beta, n_grid, seeds, k=8, n_terms=96, horizon=512, ell=1.0):
@@ -112,3 +112,20 @@ class TestOptimalCutoff:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             optimal_cutoff(2, 0.0, 4, 8, 1, 1.0)
+
+
+class TestEvaluateRows:
+    @pytest.mark.parametrize("n_terms, horizon", [(96, 1024), (7, 30), (0, 10)])
+    def test_matches_reference_loop(self, n_terms, horizon):
+        spec = SmoothFactorSpec(k=3, beta=2, ell=5.0, n_terms=n_terms)
+        a0, a, b = gen_smooth_coefficients(spec, seed=4)
+        x = np.arange(1, horizon + 1) / horizon
+        ref = np.tile(a0[:, None], (1, horizon))
+        for n in range(1, n_terms + 1):
+            phase = 2.0 * np.pi * n * x
+            ref += np.sqrt(2.0) * (a[:, n - 1][:, None] * np.cos(phase)
+                                   + b[:, n - 1][:, None] * np.sin(phase))
+        for _ in range(2):  # the second call reads the cached table
+            w = evaluate_rows(a0, a, b, horizon)
+            assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert w.flags.writeable
