@@ -7,8 +7,7 @@ smooth factor generation on Sobolev ellipsoids, and penalized selection of
 """
 from .errors import ConvergenceError
 from .estimator import FactorModel, empirical_risk, fit, predict, risk
-from .linalg import (SvdResult, frobenius_norm, numerical_rank, operator_norm,
-                     svd, truncate_rank)
+from .linalg import SvdResult, svd, truncate_rank
 from .noise import (CovarianceSummary, NoiseSpec, covariance_matrix,
                     projected_noise_norm_bound, replication_seed, sample_noise,
                     sigma_op_norm)
@@ -22,8 +21,7 @@ from .structure import (StructureBasis, build_identity, build_periodic,
 __all__ = [
     "ConvergenceError",
     "FactorModel", "empirical_risk", "fit", "predict", "risk",
-    "SvdResult", "frobenius_norm", "numerical_rank", "operator_norm",
-    "svd", "truncate_rank",
+    "SvdResult", "svd", "truncate_rank",
     "CovarianceSummary", "NoiseSpec", "covariance_matrix",
     "projected_noise_norm_bound", "replication_seed", "sample_noise",
     "sigma_op_norm",

@@ -85,6 +85,18 @@ def _parse_basis(cfg, horizon: int) -> StructureBasis:
     raise ConfigError(f"unknown basis kind {kind!r}")
 
 
+def _parse_smooth(cfg, k) -> sobolev.SmoothFactorSpec:
+    if not isinstance(cfg, dict):
+        raise ConfigError("'smooth' must be an object")
+    _check_keys(cfg, {"beta", "ell", "n_terms"}, "smooth")
+    try:
+        return sobolev.SmoothFactorSpec(k=k, beta=_require(cfg, "beta", "smooth"),
+                                        ell=_require(cfg, "ell", "smooth"),
+                                        n_terms=_require(cfg, "n_terms", "smooth"))
+    except ValueError as exc:
+        raise ConfigError(f"smooth: {exc}") from exc
+
+
 # ---------- file I/O ----------
 
 def write_matrix(path: Path, m: np.ndarray) -> None:
@@ -149,15 +161,7 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     if scenario == "periodic":
         tau = _require(cfg, "tau", "periodic config")
     elif scenario == "smooth":
-        scfg = _require(cfg, "smooth", "smooth config")
-        _check_keys(scfg, {"beta", "ell", "n_terms"}, "smooth")
-        try:
-            smooth = sobolev.SmoothFactorSpec(
-                k=k, beta=_require(scfg, "beta", "smooth"),
-                ell=_require(scfg, "ell", "smooth"),
-                n_terms=_require(scfg, "n_terms", "smooth"))
-        except ValueError as exc:
-            raise ConfigError(f"smooth: {exc}") from exc
+        smooth = _parse_smooth(_require(cfg, "smooth", "smooth config"), k)
     elif scenario != "unstructured":
         raise ConfigError(f"unknown scenario {scenario!r}")
 
@@ -205,7 +209,7 @@ def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
         "basis": basis.descriptor(),
         "k": k,
         "empirical_risk": estimator.empirical_risk(m_hat, x),
-        "rank": int(np.linalg.matrix_rank(model.m_tilde_hat)),
+        "rank": model.rank,
         "gram_residual": gram_resid,
     })
 
@@ -232,9 +236,9 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
     pcfg = _require(cfg, "penalty", "config")
     _check_keys(pcfg, {"lambda", "c_pen", "s", "noise_level"}, "penalty")
     noise_level = pcfg.get("noise_level")
-    if noise_level is None:
-        noise_level = calibrate_noise_level(x, grid)
     try:
+        if noise_level is None:
+            noise_level = calibrate_noise_level(x, grid)
         params = PenaltyParams(lam=pcfg.get("lambda", 0.5),
                                c_pen=pcfg.get("c_pen", 2.0),
                                noise_level=noise_level,
@@ -311,10 +315,13 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
     k = _require(cfg, "k", "config")
     spec = _parse_noise(_require(cfg, "noise", "config"))
     replications = _require(cfg, "replications", "config")
+    if (not isinstance(replications, int) or isinstance(replications, bool)
+            or replications < 1):
+        raise ConfigError(f"replications must be an integer >= 1, "
+                          f"got {replications!r}")
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     slope_tol = cfg.get("slope_tol", 0.15)
     s_conf = cfg.get("s", 1.0)
-    out.mkdir(parents=True, exist_ok=True)
 
     if scenario in ("unstructured", "periodic"):
         sweep = _require(cfg, "sweep_T", "config")
@@ -325,13 +332,15 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
             raise ConfigError("periodic rate-check requires 'tau'")
         points, jobs = [], []
         for pi, horizon in enumerate(sweep):
+            try:
+                if scenario == "unstructured":
+                    fit_basis = structure.build_identity(horizon)
+                else:
+                    fit_basis = structure.build_periodic(tau, horizon)
+            except ValueError as exc:
+                raise ConfigError(f"basis: {exc}") from exc
             op = sigma_op_norm(spec, horizon).op_norm
-            if scenario == "unstructured":
-                fit_basis = structure.build_identity(horizon)
-                rate = op * k * (d + horizon + s_conf) / (d * horizon)
-            else:
-                fit_basis = structure.build_periodic(tau, horizon)
-                rate = op * k * (d + tau + s_conf) / (d * horizon)
+            rate = op * k * (d + fit_basis.tau + s_conf) / (d * horizon)
             points.append({"d": d, "T": horizon, "tau": fit_basis.tau, "k": k,
                            "theoretical_rate": rate})
             jobs.append(lambda r, h=horizon, fb=fit_basis, pi=pi:
@@ -343,6 +352,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
                       replications=replications)
         slope, intercept, se = _loglog_slope(
             [p["theoretical_rate"] for p in points], means)
+        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "rate_report.json", {
             "scenario": scenario,
             "points": points,
@@ -358,14 +368,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         raise ConfigError(f"unknown scenario {scenario!r}")
 
     horizon = _require(cfg, "T", "config")
-    scfg = _require(cfg, "smooth", "config")
-    _check_keys(scfg, {"beta", "ell", "n_terms"}, "smooth")
-    try:
-        smooth = sobolev.SmoothFactorSpec(k=k, beta=_require(scfg, "beta", "smooth"),
-                                          ell=_require(scfg, "ell", "smooth"),
-                                          n_terms=_require(scfg, "n_terms", "smooth"))
-    except ValueError as exc:
-        raise ConfigError(f"smooth: {exc}") from exc
+    smooth = _parse_smooth(_require(cfg, "smooth", "config"), k)
     c_beta_l = cfg.get("c_beta_l", 1.0)
     op = sigma_op_norm(spec, horizon).op_norm
     n_star = sobolev.optimal_cutoff(smooth.beta, c_beta_l, d, horizon, k, op)
@@ -387,6 +390,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         pt.update(mean_risk=float(mu), std_risk=float(sd),
                   replications=replications)
     star_risk = means[grid.index(n_star)]
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "rate_report.json", {
         "scenario": "smooth",
         "points": points,

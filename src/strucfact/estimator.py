@@ -22,7 +22,7 @@ class FactorModel:
     v: np.ndarray            # k x tau
     basis: StructureBasis
     m_tilde_hat: np.ndarray  # d x tau, = u @ v
-    rank: int
+    rank: int                # numerical rank, min(k, rank of the projection)
 
 
 def fit(x, basis: StructureBasis, k: int) -> FactorModel:
@@ -37,7 +37,8 @@ def fit(x, basis: StructureBasis, k: int) -> FactorModel:
     root = np.sqrt(s.singular_values[:k])
     u = s.left[:, :k] * root
     v = (s.right[:, :k] * root).T
-    return FactorModel(u=u, v=v, basis=basis, m_tilde_hat=m_tilde_hat, rank=k)
+    return FactorModel(u=u, v=v, basis=basis, m_tilde_hat=m_tilde_hat,
+                       rank=min(k, s.rank))
 
 
 def predict(model: FactorModel) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense real matrix kernels: norms, SVD, rank truncation.
+"""Dense real matrix kernels: validation, SVD, rank truncation.
 
 All functions accept 2-D float arrays and validate finiteness up front.
 Everything here is pure and thread-safe.
@@ -47,57 +47,10 @@ class SvdResult:
         return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(sum of squared entries)."""
-    a = as_matrix(a)
-    return float(np.linalg.norm(a, "fro"))
-
-
-def operator_norm(a, tol: float = 1e-12) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Starts from the normalized all-ones vector (deterministic across runs)
-    and iterates at most 10 * max(rows, cols) + 200 times.  Raises
-    ConvergenceError if the Rayleigh quotient has not stabilized to relative
-    tolerance `tol` by then; callers may fall back to a full SVD.
-    """
-    a = as_matrix(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m, n = a.shape
-    # Iterate on the smaller Gram matrix side.
-    if m < n:
-        a = a.T
-        m, n = n, m
-    gram = a.T @ a  # n x n, PSD
-    v = np.ones(n) / np.sqrt(n)
-    cap = 10 * max(m, n) + 200
-    lam = 0.0
-    for _ in range(cap):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v lies in the null space; the top singular direction is
-            # unreachable from the deterministic start.
-            raise ConvergenceError(
-                "power iteration start vector annihilated; use svd() instead"
-            )
-        lam_new = float(v @ w)
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise ConvergenceError(
-        f"power iteration did not converge in {cap} iterations (tol={tol})"
-    )
-
-
-def operator_norm_safe(a, tol: float = 1e-12) -> float:
-    """operator_norm with automatic fallback to the full SVD on failure."""
-    try:
-        return operator_norm(a, tol)
-    except ConvergenceError:
-        return float(svd(as_matrix(a)).singular_values[0])
+# Kept by name for the benchmark's span tracer (perfbench/spantrace.py).
+def operator_norm_safe(a) -> float:
+    """Largest singular value of `a`, from the full SVD."""
+    return float(svd(a).singular_values[0])
 
 
 def svd(a) -> SvdResult:
@@ -120,16 +73,3 @@ def truncate_rank(s: SvdResult, k: int) -> np.ndarray:
     if not 1 <= k <= r:
         raise ValueError(f"rank k={k} out of range [1, {r}]")
     return (s.left[:, :k] * s.singular_values[:k]) @ s.right[:, :k].T
-
-
-def numerical_rank(a) -> int:
-    """Rank of `a` counting singular values above RANK_RTOL * sigma_1."""
-    return svd(a).rank
-
-
-def max_eigenvalue_symmetric(a) -> float:
-    """Largest eigenvalue of a symmetric matrix via the dense eigensolver."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    return float(np.linalg.eigvalsh(a)[-1])

@@ -1,10 +1,11 @@
 """Penalized selection of the structure resolution tau and the rank k.
 
-Every feasible (basis, k) pair on the candidate grid is fitted; the score
+Every feasible (basis, k) pair on the candidate grid is scored; the score
 is the unnormalized empirical risk plus a penalty proportional to
 k * (d + tau + shifted confidence level) * noise level.  The winner is the
 pair with the smallest score; exact ties go to the smaller k, then the
-smaller tau.
+smaller tau.  The empirical risks of all ranks of one basis come from a
+single SVD of the projection (see _residuals); only the winner is refit.
 """
 from __future__ import annotations
 
@@ -12,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import FactorModel, empirical_risk, fit, predict
+from . import linalg
+from .estimator import FactorModel, fit
 from .linalg import as_matrix
-from .structure import StructureBasis
+from .structure import StructureBasis, expand, project
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,21 @@ def penalty(params: PenaltyParams, d: int, tau: int, k: int) -> float:
         * params.noise_level
 
 
+def _residuals(x: np.ndarray, basis: StructureBasis) -> np.ndarray:
+    """||X - expand(rank-k fit)||_F^2 for k = 0..min(d, tau).
+
+    Because L L^T = c I, the residual of the rank-k fit splits into the part
+    of X outside the row space of L plus c times the singular-value tail of
+    the projection that the truncation discards (Eckart-Young).  The tail is
+    summed from the smallest value up, so small residuals do not cancel.
+    """
+    x_tilde = project(x, basis)
+    s2 = linalg.svd(x_tilde).singular_values ** 2
+    out_of_span = float(np.sum((x - expand(x_tilde, basis)) ** 2))
+    tail = np.append(np.cumsum(s2[::-1])[::-1], 0.0)
+    return out_of_span + basis.gram_constant * tail
+
+
 def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     """Score every feasible (basis, k) pair and return the minimizer.
 
@@ -98,16 +115,15 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     x = as_matrix(x)
     d = x.shape[0]
     table: list[ScoreRow] = []
-    models: dict[tuple[int, int], FactorModel] = {}
     for bi, basis in enumerate(grid.bases):
-        for k in grid.ranks:
-            if k > min(d, basis.tau):
-                continue
-            model = fit(x, basis, k)
-            er = empirical_risk(predict(model), x)
+        ranks = [k for k in grid.ranks if k <= min(d, basis.tau)]
+        if not ranks:
+            continue
+        resid = _residuals(x, basis)
+        for k in ranks:
+            er = float(resid[k])
             pen = penalty(params, d, basis.tau, k)
             table.append(ScoreRow(bi, basis.tau, k, er, pen, er + pen))
-            models[(bi, k)] = model
     if not table:
         raise ValueError("no feasible (basis, rank) pair on the grid")
     winner = min(table, key=lambda r: (r.score, r.k, r.tau))
@@ -120,19 +136,18 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
         chosen_tau_index=winner.basis_index,
         chosen_k=winner.k,
         table=table,
-        fitted=models[(winner.basis_index, winner.k)],
+        fitted=fit(x, grid.bases[winner.basis_index], winner.k),
     )
 
 
 def calibrate_noise_level(x, grid: CandidateGrid) -> float:
     """Residual-variance plug-in for the noise level.
 
-    Fits the largest model on the grid (max tau, max feasible k) and returns
-    ||X - fitted||_F^2 / (d T).
+    Takes the largest model on the grid (max tau, max feasible k) and returns
+    its residual ||X - fitted||_F^2 / (d T).
     """
     x = as_matrix(x)
     d, t = x.shape
     basis = max(grid.bases, key=lambda b: b.tau)
     k = min(max(grid.ranks), d, basis.tau)
-    model = fit(x, basis, k)
-    return float(np.sum((x - predict(model)) ** 2) / (d * t))
+    return float(_residuals(x, basis)[k] / (d * t))

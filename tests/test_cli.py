@@ -163,6 +163,28 @@ class TestSelect:
         code, _ = run(tmp_path, "select", sel_cfg, "sel_bad")
         assert code == 2
 
+    def test_non_finite_csv_exits_2_without_output(self, tmp_path, capsys):
+        x = np.ones((3, 8))
+        x[1, 2] = np.nan
+        write_matrix(tmp_path / "X.csv", x)
+        sel_cfg = {"x": str(tmp_path / "X.csv"), "taus": [2, 4],
+                   "ranks": [1, 2], "penalty": {"lambda": 0.5, "c_pen": 2.0}}
+        code, out = run(tmp_path, "select", sel_cfg, "sel_nan")
+        assert code == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_plug_in_exits_2_without_output(self, tmp_path, capsys):
+        # tau = T and k = d interpolate X exactly: the plug-in noise level is 0.
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4, 24],
+                   "ranks": [1, 2, 3, 4, 5, 6],
+                   "penalty": {"lambda": 0.5, "c_pen": 2.0}}
+        code, out = run(tmp_path, "select", sel_cfg, "sel_zero")
+        assert code == 2
+        assert not out.exists()
+        assert "noise_level must be positive" in capsys.readouterr().err
+
 
 class TestRateCheck:
     def small_cfg(self):
@@ -196,6 +218,20 @@ class TestRateCheck:
         cfg = dict(self.small_cfg(), sweep_T=[24, 48])
         code, _ = run(tmp_path, "rate-check", cfg, "rate_bad")
         assert code == 2
+
+    def test_indivisible_periodic_sweep_rejected(self, tmp_path, capsys):
+        cfg = dict(self.small_cfg(), scenario="periodic", tau=5)
+        code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
+        assert code == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replications", [0, -1, 2.5, True, "3"])
+    def test_bad_replications_rejected(self, tmp_path, replications):
+        cfg = dict(self.small_cfg(), replications=replications)
+        code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
+        assert code == 2
+        assert not out.exists()
 
     def test_smooth_report(self, tmp_path):
         cfg = {
@@ -238,6 +274,29 @@ class TestNoiseConfigErrors:
         assert code == 2
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+
+SMOOTH_RATE_CFG = {
+    "scenario": "smooth", "d": 6, "k": 1, "T": 64,
+    "noise": {"kind": "iid", "sigma": 0.5}, "replications": 2, "seed": 3,
+}
+
+
+@pytest.mark.parametrize("smooth", [
+    3,
+    {"beta": 2, "ell": 10.0},
+    {"beta": 0, "ell": 10.0, "n_terms": 16},
+    {"beta": 2, "ell": 10.0, "n_terms": 16, "typo": 1},
+])
+@pytest.mark.parametrize("command", ["simulate", "rate-check"])
+def test_bad_smooth_spec_exits_2_without_output(tmp_path, capsys, command,
+                                                smooth):
+    base = dict(SIM_CFG, scenario="smooth", k=1) if command == "simulate" \
+        else SMOOTH_RATE_CFG
+    code, out = run(tmp_path, command, dict(base, smooth=smooth), "smooth")
+    assert code == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

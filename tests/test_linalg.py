@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from strucfact import (ConvergenceError, frobenius_norm, numerical_rank,
-                       operator_norm, svd, truncate_rank)
-from strucfact.linalg import max_eigenvalue_symmetric, operator_norm_safe
+from strucfact import svd, truncate_rank
+from strucfact.linalg import operator_norm_safe
 
 
 def char_poly_eigs_3x3(a):
@@ -24,43 +23,42 @@ def char_poly_eigs_3x3(a):
     return np.sort(np.roots([1.0, -tr, minors, -det]).real)
 
 
+def frobenius_from_svd(a):
+    """Frobenius norm as the l2 norm of the singular values."""
+    return float(np.sqrt(np.sum(svd(a).singular_values ** 2)))
+
+
 class TestFrobeniusNorm:
     def test_identity_2x2(self):
-        assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
+        assert frobenius_from_svd(np.eye(2)) == pytest.approx(np.sqrt(2.0))
 
     def test_zero_matrix(self):
-        assert frobenius_norm(np.zeros((3, 4))) == 0.0
+        assert frobenius_from_svd(np.zeros((3, 4))) == 0.0
 
     def test_pythagorean_row(self):
-        assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
+        assert frobenius_from_svd(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            frobenius_norm(np.array([[np.nan, 0.0]]))
+            svd(np.array([[np.nan, 0.0]]))
 
 
 class TestOperatorNorm:
     def test_diagonal(self):
-        assert operator_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
+        assert operator_norm_safe(np.diag([3.0, 1.0])) == pytest.approx(3.0)
 
     def test_nilpotent_shift(self):
-        assert operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
+        assert operator_norm_safe(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
 
     def test_ar1_3x3_vs_char_poly_oracle(self):
         rho = 0.5
         a = rho ** np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
         expected = char_poly_eigs_3x3(a)[-1]  # PSD: top eig = op norm
-        assert operator_norm(a) == pytest.approx(expected, rel=1e-10)
+        assert operator_norm_safe(a) == pytest.approx(expected, rel=1e-10)
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            operator_norm(np.eye(2), tol=0.0)
-
-    def test_annihilated_start_raises_and_safe_recovers(self):
-        # All-ones start vector lies in the null space of the Gram matrix.
+    def test_all_ones_in_null_space(self):
+        # The all-ones vector lies in the null space of the Gram matrix.
         a = np.array([[1.0, -1.0], [1.0, -1.0]])
-        with pytest.raises(ConvergenceError):
-            operator_norm(a)
         assert operator_norm_safe(a) == pytest.approx(2.0)
 
     def test_bounded_by_frobenius(self):
@@ -69,7 +67,7 @@ class TestOperatorNorm:
             m, n = rng.integers(2, 9, size=2)
             a = rng.standard_normal((m, n))
             op = operator_norm_safe(a)
-            fro = frobenius_norm(a)
+            fro = np.linalg.norm(a, "fro")
             assert op <= fro * (1 + 1e-10)
             assert fro <= np.sqrt(min(m, n)) * op * (1 + 1e-10)
 
@@ -80,7 +78,7 @@ class TestOperatorNorm:
             b = rng.standard_normal((n, n))
             a = b @ b.T
             assert operator_norm_safe(a) == pytest.approx(
-                max_eigenvalue_symmetric(a), rel=1e-8)
+                np.linalg.eigvalsh(a)[-1], rel=1e-8)
 
 
 class TestSvd:
@@ -135,7 +133,7 @@ class TestTruncateRank:
     def test_rank_bound(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((6, 6))
-        assert numerical_rank(truncate_rank(svd(a), 2)) <= 2
+        assert svd(truncate_rank(svd(a), 2)).rank <= 2
 
     def test_dominates_random_rank_2_candidates(self):
         rng = np.random.default_rng(99)

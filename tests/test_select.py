@@ -1,10 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from strucfact import (CandidateGrid, NoiseSpec, PenaltyParams,
-                       build_periodic, calibrate_noise_level, expand, fit,
-                       penalty, predict, risk, sample_noise, select)
+                       build_periodic, build_trig, calibrate_noise_level,
+                       empirical_risk, expand, fit, penalty, predict, risk,
+                       sample_noise, select)
+from strucfact import linalg
 from strucfact.noise import replication_seed
+
+# The package re-exports the function `select` under its module's name.
+select_module = importlib.import_module("strucfact.select")
 
 
 def periodic_instance(d, horizon, tau, k, seed, sigma=None):
@@ -151,3 +158,49 @@ class TestCalibrateNoiseLevel:
             grid = CandidateGrid([build_periodic(tau, 24)], list(range(1, k + 1)))
             levels.append(calibrate_noise_level(x, grid))
         assert np.all(np.diff(levels) <= 1e-12)
+
+
+class TestResidualProfile:
+    """The spectrum-based residuals equal the residuals of direct fits."""
+
+    def instance(self):
+        _, x = periodic_instance(8, 24, tau=4, k=2, seed=12, sigma=0.5)
+        grid = CandidateGrid([build_periodic(4, 24), build_trig(3, 24),
+                              build_periodic(24, 24)], list(range(1, 7)))
+        return x, grid
+
+    def test_table_matches_direct_fits(self):
+        x, grid = self.instance()
+        result = select(x, grid, PenaltyParams(lam=0.5, c_pen=2.0,
+                                               noise_level=0.25))
+        assert len(result.table) == 4 + 6 + 6
+        for row in result.table:
+            basis = grid.bases[row.basis_index]
+            direct = empirical_risk(predict(fit(x, basis, row.k)), x)
+            assert row.empirical_risk == pytest.approx(direct, rel=1e-12)
+
+    def test_plug_in_matches_direct_fit(self):
+        x, grid = self.instance()
+        d, t = x.shape
+        direct = np.sum((x - predict(fit(x, grid.bases[2], 6))) ** 2) / (d * t)
+        assert calibrate_noise_level(x, grid) == pytest.approx(direct, rel=1e-12)
+
+    def test_one_svd_per_basis_and_no_calibration_fit(self, monkeypatch):
+        x, grid = self.instance()
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(1) or svd(a))
+        result = select(x, grid, PenaltyParams(lam=0.5, c_pen=2.0,
+                                               noise_level=0.25))
+        assert len(calls) == len(grid.bases) + 1  # one per basis + the refit
+        np.testing.assert_array_equal(
+            result.fitted.m_tilde_hat,
+            fit(x, grid.bases[result.chosen_tau_index],
+                result.chosen_k).m_tilde_hat)
+
+        def no_fit(*args):
+            raise AssertionError("calibrate_noise_level must not fit")
+        monkeypatch.setattr(select_module, "fit", no_fit)
+        calls.clear()
+        calibrate_noise_level(x, grid)
+        assert len(calls) == 1
