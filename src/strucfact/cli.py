@@ -1,8 +1,10 @@
 """Command-line front end: simulate, fit, select, rate-check.
 
-All commands read a strict JSON config (unknown keys are errors), write CSV
-matrices (17 significant digits, comma delimiter, no header) plus JSON
-manifests/reports, and are fully deterministic given (config, seed, threads).
+All commands read a strict JSON config, write CSV matrices (17 significant
+digits, comma delimiter, no header) plus strict JSON manifests/reports, and
+are fully deterministic given (config, seed, threads).  Each command checks
+its config against one typed table before computing anything, and computes
+every output before it creates the output directory.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -10,17 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import estimator, noise, sobolev, structure
+from . import estimator, sobolev, structure
 from .errors import ConvergenceError
-from .noise import NoiseSpec, replication_seed, sample_noise, sigma_op_norm
+from .noise import KINDS, NoiseSpec, replication_seed, sample_noise, sigma_op_norm
 from .select import CandidateGrid, PenaltyParams, calibrate_noise_level, select
-from .structure import StructureBasis
 
 SCHEMA_VERSION = 1
 CSV_FMT = "%.17g"
@@ -30,71 +32,103 @@ class ConfigError(ValueError):
     """Invalid or malformed experiment configuration."""
 
 
-# ---------- config plumbing ----------
+# ---------- config tables ----------
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+# Each table maps key -> (type, default, minimum).  A type is int (no bools,
+# no floats), float (a finite real), str, list (of ints, each >= minimum;
+# empty only when the default is empty), a tuple of allowed strings, or a
+# nested table.  Defaults are used as given and never written back.
+REQUIRED = object()
+POSITIVE = math.ulp(0.0)  # smallest positive float: as a minimum it means > 0
+SCHEMA = (int, SCHEMA_VERSION, None)
+
+NOISE = {"kind": (KINDS, REQUIRED, None), "sigma": (float, REQUIRED, POSITIVE),
+         "theta": (float, 0.0, None), "rho": (float, 0.0, None)}
+SMOOTH = {"beta": (int, REQUIRED, 1), "ell": (float, REQUIRED, POSITIVE),
+          "n_terms": (int, REQUIRED, 0)}
+BASIS = {"kind": (("identity", "periodic", "trig"), REQUIRED, None),
+         "tau": (int, None, 1), "n_freq": (int, None, 0)}
+PENALTY = {"lambda": (float, 0.5, POSITIVE), "c_pen": (float, 2.0, 0),
+           "s": (float, 1.0, 0), "noise_level": (float, None, POSITIVE)}
+
+# Keys a scenario or basis kind needs beyond its table's required keys.
+SIMULATE_NEEDS = {"unstructured": (), "periodic": ("tau",), "smooth": ("smooth",)}
+RATE_NEEDS = {"unstructured": ("sweep_T",), "periodic": ("sweep_T", "tau"),
+              "smooth": ("T", "smooth")}
+BASIS_NEEDS = {"identity": (), "periodic": ("tau",), "trig": ("n_freq",)}
+
+SIMULATE = {"schema": SCHEMA, "scenario": (tuple(SIMULATE_NEEDS), REQUIRED, None),
+            "d": (int, REQUIRED, 1), "T": (int, REQUIRED, 2),
+            "k": (int, REQUIRED, 1), "tau": (int, None, 1),
+            "smooth": (SMOOTH, None, None), "noise": (NOISE, REQUIRED, None),
+            "seed": (int, 0, 0)}
+FIT = {"schema": SCHEMA, "x": (str, REQUIRED, None),
+       "basis": (BASIS, REQUIRED, None), "k": (int, REQUIRED, 1)}
+SELECT = {"schema": SCHEMA, "x": (str, REQUIRED, None), "taus": (list, [], 1),
+          "n_freqs": (list, [], 0), "ranks": (list, REQUIRED, 1),
+          "penalty": (PENALTY, REQUIRED, None)}
+RATE_CHECK = {"schema": SCHEMA, "scenario": (tuple(RATE_NEEDS), REQUIRED, None),
+              "d": (int, REQUIRED, 1), "k": (int, REQUIRED, 1),
+              "noise": (NOISE, REQUIRED, None),
+              "replications": (int, REQUIRED, 1), "seed": (int, 0, 0),
+              "sweep_T": (list, None, 2), "tau": (int, None, 1),
+              # The smooth cutoff grid always holds n_freq = 1, so T >= 3.
+              "T": (int, None, 3), "smooth": (SMOOTH, None, None),
+              "c_beta_l": (float, 1.0, POSITIVE), "slope_tol": (float, 0.15, 0),
+              "s": (float, 1.0, 0)}
+
+TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+              list: "a non-empty list of integers"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse(cfg, table: dict, where: str) -> dict:
+    """Check `cfg` against `table`; return a copy with defaults filled in."""
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return cfg
-
-
-def _check_keys(cfg: dict, allowed: set, where: str) -> None:
-    unknown = set(cfg) - allowed
+        raise ConfigError(f"{where}: expected an object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    parsed = {}
+    for key, (kind, default, minimum) in table.items():
+        if key not in cfg:
+            if default is REQUIRED:
+                raise ConfigError(f"{where}: missing required key {key!r}")
+            parsed[key] = default
+            continue
+        value = cfg[key]
+        if isinstance(kind, dict):
+            parsed[key] = _parse(value, kind, key)
+            continue
+        if kind is int:
+            ok = _is_int(value)
+        elif kind is float:
+            ok = _is_int(value) or isinstance(value, float) and math.isfinite(value)
+        elif kind is list:
+            ok = (isinstance(value, list) and all(map(_is_int, value))
+                  and (value or default == []))
+        elif kind is str:
+            ok = isinstance(value, str)
+        else:
+            ok = isinstance(value, str) and value in kind
+        if not ok:
+            expected = TYPE_NAMES.get(kind) or f"one of {list(kind)}"
+            raise ConfigError(f"{where}: {key} must be {expected}, got {value!r}")
+        if minimum is not None and any(
+                v < minimum for v in (value if kind is list else [value])):
+            bound = "> 0" if minimum is POSITIVE else f">= {minimum}"
+            raise ConfigError(f"{where}: {key} must be {bound}, got {value!r}")
+        parsed[key] = value
+    return parsed
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return cfg[key]
-
-
-def _parse_noise(cfg) -> NoiseSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError("'noise' must be an object")
-    _check_keys(cfg, {"kind", "sigma", "theta", "rho"}, "noise")
-    kind = _require(cfg, "kind", "noise")
-    sigma = _require(cfg, "sigma", "noise")
-    try:
-        return NoiseSpec(kind=kind, sigma=sigma,
-                         theta=cfg.get("theta", 0.0), rho=cfg.get("rho", 0.0))
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
-def _parse_basis(cfg, horizon: int) -> StructureBasis:
-    if not isinstance(cfg, dict):
-        raise ConfigError("'basis' must be an object")
-    _check_keys(cfg, {"kind", "tau", "n_freq"}, "basis")
-    kind = _require(cfg, "kind", "basis")
-    try:
-        if kind == "identity":
-            return structure.build_identity(horizon)
-        if kind == "periodic":
-            return structure.build_periodic(_require(cfg, "tau", "basis"), horizon)
-        if kind == "trig":
-            return structure.build_trig(_require(cfg, "n_freq", "basis"), horizon)
-    except ValueError as exc:
-        raise ConfigError(f"basis: {exc}") from exc
-    raise ConfigError(f"unknown basis kind {kind!r}")
-
-
-def _parse_smooth(cfg, k) -> sobolev.SmoothFactorSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError("'smooth' must be an object")
-    _check_keys(cfg, {"beta", "ell", "n_terms"}, "smooth")
-    try:
-        return sobolev.SmoothFactorSpec(k=k, beta=_require(cfg, "beta", "smooth"),
-                                        ell=_require(cfg, "ell", "smooth"),
-                                        n_terms=_require(cfg, "n_terms", "smooth"))
-    except ValueError as exc:
-        raise ConfigError(f"smooth: {exc}") from exc
+def _needs(parsed: dict, keys, what: str) -> None:
+    missing = [key for key in keys if parsed[key] is None]
+    if missing:
+        raise ConfigError(f"{what} needs {missing}")
 
 
 # ---------- file I/O ----------
@@ -104,21 +138,16 @@ def write_matrix(path: Path, m: np.ndarray) -> None:
 
 
 def read_matrix(path: str) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def _json_text(payload: dict) -> str:
+    """Strict JSON of a report; a NaN or infinity is a numeric failure."""
     try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
+        return json.dumps({**payload, "schema": SCHEMA_VERSION}, indent=2,
+                          sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ConfigError(f"could not parse matrix CSV {path}: {exc}") from exc
-    return m
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema"] = SCHEMA_VERSION
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        raise FloatingPointError(f"non-finite number in the output: {exc}") from exc
 
 
 # ---------- simulate ----------
@@ -126,139 +155,104 @@ def _write_json(path: Path, payload: dict) -> None:
 def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
                        tau: int | None = None,
                        smooth: sobolev.SmoothFactorSpec | None = None):
-    """Ground-truth signal for one scenario; returns (M, U, V_rows, basis)."""
+    """Ground-truth signal for one scenario; returns (M, U, V_rows)."""
     rng = np.random.default_rng(seed)
-    if scenario == "unstructured":
-        basis = structure.build_identity(horizon)
-        u = rng.standard_normal((d, k))
-        v = rng.standard_normal((k, horizon))
-        return u @ v, u, v, basis
-    if scenario == "periodic":
-        basis = structure.build_periodic(tau, horizon)
-        u = rng.standard_normal((d, k))
-        v = rng.standard_normal((k, tau))
-        return structure.expand(u @ v, basis), u, v, basis
     if scenario == "smooth":
         w = sobolev.gen_smooth_dictionary(smooth, horizon, seed)
         u = rng.standard_normal((d, k))
         u /= np.linalg.norm(u, axis=1, keepdims=True)  # row norms = 1
-        return u @ w, u, w, None
-    raise ConfigError(f"unknown scenario {scenario!r}")
+        return u @ w, u, w
+    u = rng.standard_normal((d, k))
+    if scenario == "periodic":
+        v = rng.standard_normal((k, tau))
+        return structure.expand(u @ v, structure.build_periodic(tau, horizon)), u, v
+    v = rng.standard_normal((k, horizon))
+    return u @ v, u, v
 
 
 def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
-    _check_keys(cfg, {"schema", "scenario", "d", "T", "k", "tau", "smooth",
-                      "noise", "seed"}, "simulate config")
-    scenario = _require(cfg, "scenario", "config")
-    d = _require(cfg, "d", "config")
-    horizon = _require(cfg, "T", "config")
-    k = _require(cfg, "k", "config")
-    spec = _parse_noise(_require(cfg, "noise", "config"))
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
+    p = _parse(cfg, SIMULATE, "simulate")
+    scenario, d, horizon, k = p["scenario"], p["d"], p["T"], p["k"]
+    _needs(p, SIMULATE_NEEDS[scenario], f"simulate: scenario {scenario!r}")
+    spec = NoiseSpec(**p["noise"])
+    seed = p["seed"] if seed_override is None else seed_override
+    smooth = (sobolev.SmoothFactorSpec(k=k, **p["smooth"])
+              if scenario == "smooth" else None)
 
-    tau = None
-    smooth = None
-    if scenario == "periodic":
-        tau = _require(cfg, "tau", "periodic config")
-    elif scenario == "smooth":
-        smooth = _parse_smooth(_require(cfg, "smooth", "smooth config"), k)
-    elif scenario != "unstructured":
-        raise ConfigError(f"unknown scenario {scenario!r}")
-
-    try:
-        m, u, v, _ = _simulate_instance(scenario, d, horizon, k, seed,
-                                        tau=tau, smooth=smooth)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    eps = sample_noise(spec, d, horizon, replication_seed(seed, 1))
-    x = m + eps
+    m, u, v = _simulate_instance(scenario, d, horizon, k, seed,
+                                 tau=p["tau"], smooth=smooth)
+    x = m + sample_noise(spec, d, horizon, replication_seed(seed, 1))
+    manifest = _json_text({"config": cfg, "seed": seed,
+                           "noise_op_norm": sigma_op_norm(spec, horizon).op_norm})
 
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "M.csv", m)
-    write_matrix(out / "X.csv", x)
-    write_matrix(out / "U.csv", u)
-    write_matrix(out / "V.csv", v)
-    _write_json(out / "manifest.json", {
-        "config": cfg,
-        "seed": seed,
-        "noise_op_norm": sigma_op_norm(spec, horizon).op_norm,
-    })
+    for name, matrix in (("M", m), ("X", x), ("U", u), ("V", v)):
+        write_matrix(out / f"{name}.csv", matrix)
+    (out / "manifest.json").write_text(manifest)
 
 
 # ---------- fit ----------
 
 def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
-    _check_keys(cfg, {"schema", "x", "basis", "k"}, "fit config")
-    x = read_matrix(_require(cfg, "x", "config"))
-    basis = _parse_basis(_require(cfg, "basis", "config"), x.shape[1])
-    k = _require(cfg, "k", "config")
-    try:
-        model = estimator.fit(x, basis, k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    p = _parse(cfg, FIT, "fit")
+    b = p["basis"]
+    _needs(b, BASIS_NEEDS[b["kind"]], f"basis: kind {b['kind']!r}")
+    x = read_matrix(p["x"])
+    horizon = x.shape[1]
+    if b["kind"] == "identity":
+        basis = structure.build_identity(horizon)
+    elif b["kind"] == "periodic":
+        basis = structure.build_periodic(b["tau"], horizon)
+    else:
+        basis = structure.build_trig(b["n_freq"], horizon)
+    model = estimator.fit(x, basis, p["k"])
     m_hat = estimator.predict(model)
+    gram = basis.rows @ basis.rows.T
+    summary = _json_text({
+        "basis": basis.descriptor(),
+        "k": p["k"],
+        "empirical_risk": estimator.empirical_risk(m_hat, x),
+        "rank": model.rank,
+        "gram_residual": float(np.linalg.norm(
+            gram - basis.gram_constant * np.eye(basis.tau), "fro")),
+    })
 
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "M_hat.csv", m_hat)
     write_matrix(out / "U.csv", model.u)
     write_matrix(out / "V.csv", model.v)
-    gram = basis.rows @ basis.rows.T
-    gram_resid = float(np.linalg.norm(
-        gram - basis.gram_constant * np.eye(basis.tau), "fro"))
-    _write_json(out / "summary.json", {
-        "basis": basis.descriptor(),
-        "k": k,
-        "empirical_risk": estimator.empirical_risk(m_hat, x),
-        "rank": model.rank,
-        "gram_residual": gram_resid,
-    })
+    (out / "summary.json").write_text(summary)
 
 
 # ---------- select ----------
 
-def _parse_grid(cfg: dict, horizon: int) -> CandidateGrid:
-    bases = []
-    try:
-        for tau in cfg.get("taus", []):
-            bases.append(structure.build_periodic(tau, horizon))
-        for n_freq in cfg.get("n_freqs", []):
-            bases.append(structure.build_trig(n_freq, horizon))
-        return CandidateGrid(bases=bases, ranks=list(cfg.get("ranks", [])))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
-    _check_keys(cfg, {"schema", "x", "taus", "n_freqs", "ranks", "penalty"},
-                "select config")
-    x = read_matrix(_require(cfg, "x", "config"))
-    grid = _parse_grid(cfg, x.shape[1])
-    pcfg = _require(cfg, "penalty", "config")
-    _check_keys(pcfg, {"lambda", "c_pen", "s", "noise_level"}, "penalty")
-    noise_level = pcfg.get("noise_level")
-    try:
-        if noise_level is None:
-            noise_level = calibrate_noise_level(x, grid)
-        params = PenaltyParams(lam=pcfg.get("lambda", 0.5),
-                               c_pen=pcfg.get("c_pen", 2.0),
-                               noise_level=noise_level,
-                               s=pcfg.get("s", 1.0))
-        result = select(x, grid, params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "table.csv", "w") as fh:
-        fh.write("tau,k,empirical_risk,penalty,score,chosen\n")
-        for row in result.table:
-            fh.write(f"{row.tau},{row.k},{row.empirical_risk:.17g},"
-                     f"{row.penalty:.17g},{row.score:.17g},{int(row.chosen)}\n")
-    _write_json(out / "winner.json", {
+    p = _parse(cfg, SELECT, "select")
+    pen = p["penalty"]
+    x = read_matrix(p["x"])
+    horizon = x.shape[1]
+    bases = [structure.build_periodic(tau, horizon) for tau in p["taus"]]
+    bases += [structure.build_trig(n_freq, horizon) for n_freq in p["n_freqs"]]
+    grid = CandidateGrid(bases=bases, ranks=p["ranks"])
+    noise_level = pen["noise_level"]
+    if noise_level is None:
+        noise_level = calibrate_noise_level(x, grid)
+    result = select(x, grid, PenaltyParams(lam=pen["lambda"], c_pen=pen["c_pen"],
+                                           noise_level=noise_level, s=pen["s"]))
+    table = "tau,k,empirical_risk,penalty,score,chosen\n" + "".join(
+        f"{row.tau},{row.k},{row.empirical_risk:.17g},"
+        f"{row.penalty:.17g},{row.score:.17g},{int(row.chosen)}\n"
+        for row in result.table)
+    winner = _json_text({
         "chosen_tau": result.chosen_tau,
         "chosen_k": result.chosen_k,
         "noise_level": noise_level,
         "score": min(r.score for r in result.table),
     })
+
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "table.csv").write_text(table)
+    (out / "winner.json").write_text(winner)
 
 
 # ---------- rate-check ----------
@@ -268,8 +262,8 @@ def _one_replication(scenario, d, horizon, k, spec, fit_basis, idx, seed,
     """simulate -> fit -> normalized risk for one Monte-Carlo replication."""
     sig_seed = replication_seed(seed, 2 * idx)
     eps_seed = replication_seed(seed, 2 * idx + 1)
-    m, _, _, _ = _simulate_instance(scenario, d, horizon, k, sig_seed,
-                                    tau=tau, smooth=smooth)
+    m, _, _ = _simulate_instance(scenario, d, horizon, k, sig_seed,
+                                 tau=tau, smooth=smooth)
     x = m + sample_noise(spec, d, horizon, eps_seed)
     model = estimator.fit(x, fit_basis, k)
     return estimator.risk(estimator.predict(model), m)
@@ -307,98 +301,74 @@ def _loglog_slope(rates, means):
 
 def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
                    threads: int = 1) -> None:
-    _check_keys(cfg, {"schema", "scenario", "d", "k", "noise", "replications",
-                      "seed", "sweep_T", "tau", "T", "smooth", "c_beta_l",
-                      "slope_tol", "s"}, "rate-check config")
-    scenario = _require(cfg, "scenario", "config")
-    d = _require(cfg, "d", "config")
-    k = _require(cfg, "k", "config")
-    spec = _parse_noise(_require(cfg, "noise", "config"))
-    replications = _require(cfg, "replications", "config")
-    if (not isinstance(replications, int) or isinstance(replications, bool)
-            or replications < 1):
-        raise ConfigError(f"replications must be an integer >= 1, "
-                          f"got {replications!r}")
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    slope_tol = cfg.get("slope_tol", 0.15)
-    s_conf = cfg.get("s", 1.0)
+    p = _parse(cfg, RATE_CHECK, "rate-check")
+    scenario, d, k, reps = p["scenario"], p["d"], p["k"], p["replications"]
+    _needs(p, RATE_NEEDS[scenario], f"rate-check: scenario {scenario!r}")
+    spec = NoiseSpec(**p["noise"])
+    seed = p["seed"] if seed_override is None else seed_override
 
-    if scenario in ("unstructured", "periodic"):
-        sweep = _require(cfg, "sweep_T", "config")
-        if len(sweep) < 4:
-            raise ConfigError("sweep_T needs at least 4 points for the regression")
-        tau = cfg.get("tau")
-        if scenario == "periodic" and tau is None:
-            raise ConfigError("periodic rate-check requires 'tau'")
-        points, jobs = [], []
-        for pi, horizon in enumerate(sweep):
-            try:
-                if scenario == "unstructured":
-                    fit_basis = structure.build_identity(horizon)
-                else:
-                    fit_basis = structure.build_periodic(tau, horizon)
-            except ValueError as exc:
-                raise ConfigError(f"basis: {exc}") from exc
-            op = sigma_op_norm(spec, horizon).op_norm
-            rate = op * k * (d + fit_basis.tau + s_conf) / (d * horizon)
-            points.append({"d": d, "T": horizon, "tau": fit_basis.tau, "k": k,
-                           "theoretical_rate": rate})
-            jobs.append(lambda r, h=horizon, fb=fit_basis, pi=pi:
-                        _one_replication(scenario, d, h, k, spec, fb,
-                                         pi * replications + r, seed, tau=tau))
-        means, stds = _mean_risks(jobs, replications, threads)
-        for pt, mu, sd in zip(points, means, stds):
-            pt.update(mean_risk=float(mu), std_risk=float(sd),
-                      replications=replications)
+    # Points (T, n_freq, fit basis): a sweep over T, or the smooth scenario's
+    # cutoff grid {1, N*/2, N*, 2N*, 4N*} at one T.
+    smooth = None
+    if scenario == "smooth":
+        smooth = sobolev.SmoothFactorSpec(k=k, **p["smooth"])
+        horizon = p["T"]
+        if horizon < 2 * smooth.n_terms + 2:
+            raise ConfigError(f"rate-check: T={horizon} must be >= 2 n_terms + 2 "
+                              f"= {2 * smooth.n_terms + 2}")
+        op = {horizon: sigma_op_norm(spec, horizon).op_norm}
+        n_star = sobolev.optimal_cutoff(smooth.beta, p["c_beta_l"], d, horizon,
+                                        k, op[horizon])
+        grid = sorted({max(1, n) for n in
+                       (1, n_star // 2, n_star, 2 * n_star, 4 * n_star)
+                       if 2 * max(1, n) < horizon})
+        points = [(horizon, n, structure.build_trig(n, horizon)) for n in grid]
+    else:
+        sweep = p["sweep_T"]
+        if len(set(sweep)) < 4:
+            raise ConfigError("rate-check: sweep_T needs at least 4 distinct "
+                              f"points for the regression, got {sweep}")
+        op = {horizon: sigma_op_norm(spec, horizon).op_norm for horizon in sweep}
+        points = [(horizon, None, structure.build_identity(horizon)
+                   if scenario == "unstructured"
+                   else structure.build_periodic(p["tau"], horizon))
+                  for horizon in sweep]
+    for horizon, _, basis in points:
+        if k > min(d, basis.tau):
+            raise ConfigError(f"rate-check: k={k} exceeds min(d, tau) = "
+                              f"{min(d, basis.tau)} at T={horizon}")
+
+    rows, jobs = [], []
+    for i, (horizon, n_freq, basis) in enumerate(points):
+        row = {"d": d, "T": horizon, "tau": basis.tau, "k": k}
+        rate = op[horizon] * k * (d + basis.tau + p["s"]) / (d * horizon)
+        if smooth is not None:
+            row["n_freq"] = n_freq
+            rate += p["c_beta_l"] * float(n_freq) ** (-2 * smooth.beta)
+        rows.append(dict(row, theoretical_rate=rate))
+        jobs.append(lambda r, h=horizon, fb=basis, i=i:
+                    _one_replication(scenario, d, h, k, spec, fb, i * reps + r,
+                                     seed, tau=p["tau"], smooth=smooth))
+    means, stds = _mean_risks(jobs, reps, threads)
+    for row, mu, sd in zip(rows, means, stds):
+        row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
+
+    report = {"scenario": scenario, "points": rows}
+    if smooth is not None:
+        star_risk = float(means[grid.index(n_star)])
+        report.update(optimal_cutoff=n_star, risk_at_cutoff=star_risk,
+                      best_grid_risk=float(means.min()),
+                      passed=bool(star_risk <= 2.0 * means.min()))
+    else:
         slope, intercept, se = _loglog_slope(
-            [p["theoretical_rate"] for p in points], means)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "rate_report.json", {
-            "scenario": scenario,
-            "points": points,
-            "slope": slope,
-            "intercept": intercept,
-            "slope_stderr": se,
-            "slope_tol": slope_tol,
-            "passed": bool(abs(slope - 1.0) <= slope_tol),
-        })
-        return
+            [row["theoretical_rate"] for row in rows], means)
+        report.update(slope=slope, intercept=intercept, slope_stderr=se,
+                      slope_tol=p["slope_tol"],
+                      passed=bool(abs(slope - 1.0) <= p["slope_tol"]))
+    text = _json_text(report)
 
-    if scenario != "smooth":
-        raise ConfigError(f"unknown scenario {scenario!r}")
-
-    horizon = _require(cfg, "T", "config")
-    smooth = _parse_smooth(_require(cfg, "smooth", "config"), k)
-    c_beta_l = cfg.get("c_beta_l", 1.0)
-    op = sigma_op_norm(spec, horizon).op_norm
-    n_star = sobolev.optimal_cutoff(smooth.beta, c_beta_l, d, horizon, k, op)
-    grid = sorted({max(1, n) for n in
-                   (1, n_star // 2, n_star, 2 * n_star, 4 * n_star)
-                   if 2 * max(1, n) < horizon})
-    points, jobs = [], []
-    for pi, n_freq in enumerate(grid):
-        fit_basis = structure.build_trig(n_freq, horizon)
-        rate = (op * k * (d + fit_basis.tau + s_conf) / (d * horizon)
-                + c_beta_l * float(n_freq) ** (-2 * smooth.beta))
-        points.append({"d": d, "T": horizon, "tau": fit_basis.tau, "k": k,
-                       "n_freq": n_freq, "theoretical_rate": rate})
-        jobs.append(lambda r, fb=fit_basis, pi=pi:
-                    _one_replication("smooth", d, horizon, k, spec, fb,
-                                     pi * replications + r, seed, smooth=smooth))
-    means, stds = _mean_risks(jobs, replications, threads)
-    for pt, mu, sd in zip(points, means, stds):
-        pt.update(mean_risk=float(mu), std_risk=float(sd),
-                  replications=replications)
-    star_risk = means[grid.index(n_star)]
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "rate_report.json", {
-        "scenario": "smooth",
-        "points": points,
-        "optimal_cutoff": n_star,
-        "risk_at_cutoff": float(star_risk),
-        "best_grid_risk": float(means.min()),
-        "passed": bool(star_risk <= 2.0 * means.min()),
-    })
+    (out / "rate_report.json").write_text(text)
 
 
 # ---------- entry point ----------
@@ -428,20 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every failure becomes an exit code and one stderr line."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema version {cfg.get('schema')}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        if isinstance(cfg, dict) and cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema version {cfg['schema']!r}")
         out = Path(args.out)
         if args.command == "rate-check":
             cmd_rate_check(cfg, out, args.seed, threads=args.threads)
         else:
             COMMANDS[args.command](cfg, out, args.seed)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the library's argument checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

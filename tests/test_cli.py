@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucfact import build_periodic, expand, fit, predict, project
 from strucfact.cli import main, read_matrix, write_matrix
@@ -27,6 +30,15 @@ def run(tmp_path, command, cfg, out_name, seed=None, threads=None):
 def dir_hash(path: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(path.iterdir())}
+
+
+def assert_rejected(capsys, code, out, codes=(2,)):
+    """The command failed with one of `codes`, no traceback and no --out."""
+    err = capsys.readouterr().err
+    assert code in codes, err
+    assert not out.exists()
+    assert "Traceback" not in err
+    return err
 
 
 SIM_CFG = {
@@ -69,6 +81,37 @@ class TestSimulate:
         bad = dict(SIM_CFG, tau=5)  # 24 not divisible by 5
         code, _ = run(tmp_path, "simulate", bad, "sim_bad2")
         assert code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", 1.5), ("k", "2"), ("d", 3.0), ("T", "24"), ("seed", "x"),
+        ("seed", 1.5), ("seed", -1), ("tau", None), ("schema", True),
+        ("scenario", "weekly"),
+    ])
+    def test_mistyped_key_exits_2_without_output(self, tmp_path, capsys,
+                                                 key, value):
+        code, out = run(tmp_path, "simulate", dict(SIM_CFG, **{key: value}),
+                        "sim_bad")
+        assert_rejected(capsys, code, out)
+
+    def test_non_integer_smooth_beta_rejected(self, tmp_path, capsys):
+        cfg = dict(SIM_CFG, scenario="smooth", k=1,
+                   smooth={"beta": 2.0, "ell": 10.0, "n_terms": 4})
+        code, out = run(tmp_path, "simulate", cfg, "sim_bad")
+        assert_rejected(capsys, code, out)
+
+    def test_overflowing_noise_exits_3_without_output(self, tmp_path, capsys):
+        cfg = dict(SIM_CFG, noise={"kind": "iid", "sigma": 1e200})
+        code, out = run(tmp_path, "simulate", cfg, "sim_big")
+        err = assert_rejected(capsys, code, out, codes=(3,))
+        assert err.startswith("numeric failure:")
+
+    def test_manifest_echoes_config_verbatim(self, tmp_path):
+        cfg = dict(SIM_CFG, noise={"kind": "ar1", "sigma": 1, "rho": 0.5})
+        code, out = run(tmp_path, "simulate", cfg, "sim")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == cfg
+        assert manifest["schema"] == 1
 
 
 class TestFit:
@@ -124,6 +167,32 @@ class TestFit:
         assert summary["rank"] <= 2
         assert summary["empirical_risk"] >= 0
         assert summary["gram_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", 1.5), ("k", "2"), ("k", True), ("x", 3),
+        ("basis", {"kind": "periodic", "tau": "4"}),
+        ("basis", {"kind": "trig", "n_freq": 2.0}),
+        ("basis", {"kind": "trig"}),
+        ("basis", "periodic"),
+    ])
+    def test_mistyped_key_exits_2_without_output(self, tmp_path, capsys,
+                                                 key, value):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        fit_cfg = {"x": str(sim_out / "X.csv"),
+                   "basis": {"kind": "periodic", "tau": 4}, "k": 2}
+        code, out = run(tmp_path, "fit", dict(fit_cfg, **{key: value}),
+                        "fit_bad")
+        assert_rejected(capsys, code, out)
+
+    def test_overflowing_risk_exits_3_without_output(self, tmp_path, capsys):
+        # The residual's square overflows, so summary.json would hold Infinity.
+        x = 1e200 * np.random.default_rng(0).standard_normal((6, 24))
+        write_matrix(tmp_path / "X.csv", x)
+        fit_cfg = {"x": str(tmp_path / "X.csv"),
+                   "basis": {"kind": "periodic", "tau": 4}, "k": 2}
+        code, out = run(tmp_path, "fit", fit_cfg, "fit_big")
+        err = assert_rejected(capsys, code, out, codes=(3,))
+        assert err.startswith("numeric failure:")
 
 
 class TestSelect:
@@ -184,6 +253,41 @@ class TestSelect:
         assert code == 2
         assert not out.exists()
         assert "noise_level must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "a"), ("c_pen", "2"), ("noise_level", float("nan")),
+        ("noise_level", "1"), ("noise_level", None), ("s", float("inf")),
+    ])
+    def test_mistyped_penalty_exits_2_without_output(self, tmp_path, capsys,
+                                                     key, value):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4, 8],
+                   "ranks": [1, 2],
+                   "penalty": {"lambda": 0.5, "c_pen": 2.0, key: value}}
+        code, out = run(tmp_path, "select", sel_cfg, "sel_bad")
+        assert_rejected(capsys, code, out)
+
+    @pytest.mark.parametrize("key, value", [
+        ("ranks", [1.5, 2]), ("ranks", []), ("taus", ["4"]), ("taus", 4),
+        ("n_freqs", [True]), ("penalty", 3),
+    ])
+    def test_mistyped_key_exits_2_without_output(self, tmp_path, capsys,
+                                                 key, value):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4, 8],
+                   "ranks": [1, 2], "penalty": {"noise_level": 0.25}}
+        code, out = run(tmp_path, "select", dict(sel_cfg, **{key: value}),
+                        "sel_bad")
+        assert_rejected(capsys, code, out)
+
+    def test_explicit_empty_taus_with_n_freqs(self, tmp_path):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [], "n_freqs": [1, 2],
+                   "ranks": [1, 2], "penalty": {"noise_level": 0.25}}
+        code, out = run(tmp_path, "select", sel_cfg, "sel")
+        assert code == 0
+        winner = json.loads((out / "winner.json").read_text())
+        assert winner["chosen_tau"] in (3, 5)
 
 
 class TestRateCheck:
@@ -248,6 +352,37 @@ class TestRateCheck:
         assert report["optimal_cutoff"] >= 1
         assert report["risk_at_cutoff"] >= report["best_grid_risk"] - 1e-15
 
+    @pytest.mark.parametrize("changes", [
+        {"d": 3, "k": 5},                          # k > min(d, T)
+        {"scenario": "periodic", "tau": 4, "k": 6},  # k > min(d, tau)
+        {"k": 0},
+        {"sweep_T": [24, 24, 24, 24]},             # sxx = 0: NaN slope
+        {"sweep_T": [24, 24, 48, 96]},
+        {"sweep_T": [24, "48", 96, 192]},
+        {"sweep_T": 5},
+        {"sweep_T": [1, 24, 48, 96]},
+        {"scenario": "periodic"},                  # no tau
+        {"slope_tol": "x"}, {"s": "x"}, {"s": float("nan")},
+    ])
+    def test_invalid_sweep_config_rejected(self, tmp_path, capsys, changes):
+        cfg = dict(self.small_cfg(), **changes)
+        code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
+        assert_rejected(capsys, code, out)
+
+    @pytest.mark.parametrize("changes", [
+        {"d": 6, "k": 7},       # k > min(d, tau) at every cutoff point
+        {"k": 4},               # k > tau = 3 at the cutoff N = 1
+        {"c_beta_l": "x"}, {"c_beta_l": 0},
+        {"T": 3},               # T < 2 n_terms + 2
+        {"T": 64.0},
+        {"smooth": None},
+    ])
+    def test_invalid_smooth_config_rejected(self, tmp_path, capsys, changes):
+        cfg = {**SMOOTH_RATE_CFG,
+               "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16}, **changes}
+        code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
+        assert_rejected(capsys, code, out)
+
 
 class TestNoiseConfigErrors:
     BAD_NOISE = [
@@ -299,6 +434,17 @@ def test_bad_smooth_spec_exits_2_without_output(tmp_path, capsys, command,
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "select", "rate-check"])
+def test_negative_seed_override_exits_2_without_output(tmp_path, capsys,
+                                                       command):
+    cfg = {"simulate": SIM_CFG, "rate-check": TestRateCheck().small_cfg(),
+           "fit": {"x": "X.csv", "basis": {"kind": "identity"}, "k": 1},
+           "select": {"x": "X.csv", "ranks": [1], "taus": [2],
+                      "penalty": {}}}[command]
+    code, out = run(tmp_path, command, cfg, "neg_seed", seed=-1)
+    assert_rejected(capsys, code, out)
+
+
 def test_cli_import_loads_no_scipy():
     import strucfact
     src = str(Path(strucfact.__file__).resolve().parent.parent)
@@ -310,3 +456,68 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# ---------- fuzzing the exit-code contract ----------
+
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64)
+    | st.floats(-1e3, 1e3) | st.sampled_from([np.nan, np.inf, -np.inf])
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+FUZZ_CONFIGS = {
+    "simulate": SIM_CFG,
+    "fit": {"x": "X.csv", "basis": {"kind": "periodic", "tau": 4}, "k": 2},
+    "select": {"x": "X.csv", "taus": [4, 8], "n_freqs": [2], "ranks": [1, 2],
+               "penalty": {"lambda": 0.5, "c_pen": 2.0, "noise_level": 0.25}},
+    "rate-check": {"scenario": "unstructured", "d": 4, "k": 1,
+                   "noise": {"kind": "iid", "sigma": 0.5},
+                   "sweep_T": [8, 16, 24, 32], "replications": 2, "seed": 1},
+    "rate-check smooth": {"scenario": "smooth", "d": 4, "k": 1, "T": 16,
+                          "smooth": {"beta": 2, "ell": 10.0, "n_terms": 4},
+                          "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5},
+                          "replications": 2, "seed": 3},
+}
+
+
+def _key_paths(cfg):
+    return [(key,) for key in cfg] + [
+        (key, sub) for key, value in cfg.items() if isinstance(value, dict)
+        for sub in value]
+
+
+@pytest.mark.parametrize("name", list(FUZZ_CONFIGS))
+def test_fuzzed_config_keeps_exit_contract(tmp_path_factory, name):
+    """One key or nested key of a valid config replaced by any JSON value:
+    main returns 0, 2, 3 or 4, never raises, and leaves no --out on failure."""
+    work = tmp_path_factory.mktemp("fuzz")
+    write_matrix(work / "X.csv",
+                 np.random.default_rng(0).standard_normal((6, 24)))
+    base = FUZZ_CONFIGS[name]
+    command = name.split()[0]
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(path=st.sampled_from(_key_paths(base)), value=FUZZ_VALUES)
+    def check(path, value):
+        cfg = json.loads(json.dumps(base))
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        case = Path(tempfile.mkdtemp(dir=work))
+        cfg_path = case / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = case / "out"
+        cwd = os.getcwd()
+        os.chdir(work)  # relative "x" paths resolve next to X.csv
+        try:
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3, 4)
+        assert code == 0 or not out.exists()
+
+    check()
