@@ -207,14 +207,16 @@ def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
         basis = structure.build_trig(b["n_freq"], horizon)
     model = estimator.fit(x, basis, p["k"])
     m_hat = estimator.predict(model)
-    gram = basis.rows @ basis.rows.T
+    # ||P (L L^T - c I)||_F on the first min(tau, 8) rows P of I_tau.
+    probe = np.eye(min(basis.tau, 8), basis.tau)
+    round_trip = structure.project(structure.expand(probe, basis), basis)
     summary = _json_text({
         "basis": basis.descriptor(),
         "k": p["k"],
         "empirical_risk": estimator.empirical_risk(m_hat, x),
         "rank": model.rank,
-        "gram_residual": float(np.linalg.norm(
-            gram - basis.gram_constant * np.eye(basis.tau), "fro")),
+        "gram_residual": basis.gram_constant * float(
+            np.linalg.norm(round_trip - probe, "fro")),
     })
 
     out.mkdir(parents=True, exist_ok=True)

@@ -48,12 +48,7 @@ def predict(model: FactorModel) -> np.ndarray:
 
 def risk(estimate, truth) -> float:
     """Normalized squared Frobenius distance ||estimate - truth||_F^2 / (d T)."""
-    estimate = as_matrix(estimate)
-    truth = as_matrix(truth)
-    if estimate.shape != truth.shape:
-        raise ValueError(f"shape mismatch {estimate.shape} vs {truth.shape}")
-    d, t = estimate.shape
-    return float(np.sum((estimate - truth) ** 2) / (d * t))
+    return empirical_risk(estimate, truth) / np.size(estimate)
 
 
 def empirical_risk(estimate, x) -> float:
@@ -62,4 +57,5 @@ def empirical_risk(estimate, x) -> float:
     x = as_matrix(x)
     if estimate.shape != x.shape:
         raise ValueError(f"shape mismatch {estimate.shape} vs {x.shape}")
-    return float(np.sum((estimate - x) ** 2))
+    with np.errstate(over="raise"):  # an overflow is a FloatingPointError
+        return float(np.sum((estimate - x) ** 2))

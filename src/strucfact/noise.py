@@ -96,21 +96,26 @@ def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray
     return y[:, 1:]
 
 
+def _variance(spec: NoiseSpec) -> float:
+    """sigma^2, or an OverflowError that names sigma."""
+    try:
+        return float(spec.sigma) ** 2
+    except OverflowError:
+        raise OverflowError(f"noise sigma = {spec.sigma!r}: sigma^2 overflows") from None
+
+
 def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:
     """Exact T x T row covariance (symmetric PSD Toeplitz)."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    s2 = spec.sigma ** 2
-    if spec.kind == "iid":
-        return s2 * np.eye(horizon)
-    if spec.kind == "ma1":
-        th = spec.theta
+    s2 = _variance(spec)
+    if spec.kind == "ar1":
+        first = spec.rho ** np.arange(horizon)
+    else:  # iid is MA(1) with theta = 0
+        th = spec.theta if spec.kind == "ma1" else 0.0
         first = np.zeros(horizon)
         first[0] = 1.0 + th ** 2
-        if horizon > 1:
-            first[1] = -th
-    else:
-        first = spec.rho ** np.arange(horizon)
+        first[1:2] -= th
     idx = np.arange(horizon)
     return s2 * first[np.abs(idx[:, None] - idx[None, :])]
 
@@ -127,7 +132,7 @@ def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    s2 = spec.sigma ** 2
+    s2 = _variance(spec)
     if spec.kind == "iid":
         return CovarianceSummary(op_norm=s2, bound=s2, exact=True)
     if spec.kind == "ma1":

@@ -16,13 +16,12 @@ decays like N^{-2 beta}.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix
-from .structure import StructureBasis, expand, project
+from .structure import StructureBasis, build_trig, expand, project
 
 
 @dataclass(frozen=True)
@@ -65,22 +64,15 @@ def gen_smooth_coefficients(spec: SmoothFactorSpec, seed: int):
     return a0, a * factor[:, None], b * factor[:, None]
 
 
-@functools.lru_cache(maxsize=8)
-def _trig_table(n_terms: int, horizon: int) -> np.ndarray:
-    """Read-only (2 n_terms) x horizon table sqrt(2) [cos(2 pi n x); sin(2 pi n x)]."""
-    x = np.arange(1, horizon + 1) / horizon
-    phase = 2.0 * np.pi * np.arange(1, n_terms + 1)[:, None] * x
-    table = np.sqrt(2.0) * np.vstack([np.cos(phase), np.sin(phase)])
-    table.flags.writeable = False
-    return table
-
-
 def evaluate_rows(a0, a, b, horizon: int) -> np.ndarray:
     """Evaluate the trigonometric polynomials at x = t / horizon, t = 1..horizon."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    a0 = np.asarray(a0, dtype=float)[:, None]
-    return a0 + np.hstack([a, b]) @ _trig_table(a.shape[1], horizon)
+    coef = np.empty((a.shape[0], 2 * a.shape[1] + 1))  # [a0, a1, b1, a2, b2, ...]
+    coef[:, 0] = a0
+    coef[:, 1::2] = a
+    coef[:, 2::2] = b
+    return expand(coef, build_trig(a.shape[1], horizon))
 
 
 def gen_smooth_dictionary(spec: SmoothFactorSpec, horizon: int, seed: int) -> np.ndarray:

@@ -11,16 +11,20 @@ constant c.  Three families are provided:
 Projection sends a d x T observation into the d x tau coefficient space
 via X @ L.T / c (the pseudo-inverse is L.T / c because L @ L.T = c I);
 expansion is the adjoint map back to d x T.
+
+L is applied as an operator and never stored.  Identity is periodic with
+tau = T: projection sums the T / tau blocks of tau columns of X, expansion
+tiles the coefficients.  Trig multiplies by one cached read-only table of
+its rows.  `basis.rows` materialises L on demand.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix
-
-GRAM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,28 +33,22 @@ class StructureBasis:
     tau: int
     horizon: int
     gram_constant: float
-    rows: np.ndarray       # tau x horizon
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The dense tau x horizon matrix L, built on each access."""
+        return expand(np.eye(self.tau), self)
 
     def descriptor(self) -> dict:
         """Serializable identification of the basis (never the raw matrix)."""
         return {"kind": self.kind, "tau": self.tau, "horizon": self.horizon}
 
 
-def _check_gram(rows: np.ndarray, c: float) -> None:
-    tau = rows.shape[0]
-    resid = np.linalg.norm(rows @ rows.T - c * np.eye(tau), "fro")
-    if resid > GRAM_RTOL * c * tau:
-        raise ValueError(
-            f"basis gram residual {resid:.3e} exceeds {GRAM_RTOL * c * tau:.3e}; "
-            "rows do not satisfy L L^T = c I"
-        )
-
-
 def build_identity(horizon: int) -> StructureBasis:
     """Unstructured basis: tau = T, L = I_T."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    return StructureBasis("identity", horizon, horizon, 1.0, np.eye(horizon))
+    return StructureBasis("identity", horizon, horizon, 1.0)
 
 
 def build_periodic(tau: int, horizon: int) -> StructureBasis:
@@ -64,11 +62,7 @@ def build_periodic(tau: int, horizon: int) -> StructureBasis:
             f"horizon {horizon} must be divisible by tau {tau} "
             "(periodic structure requires T = p * tau)"
         )
-    p = horizon // tau
-    rows = np.hstack([np.eye(tau)] * p)
-    basis = StructureBasis("periodic", tau, horizon, horizon / tau, rows)
-    _check_gram(rows, basis.gram_constant)
-    return basis
+    return StructureBasis("periodic", tau, horizon, horizon / tau)
 
 
 def build_trig(n_freq: int, horizon: int) -> StructureBasis:
@@ -85,16 +79,19 @@ def build_trig(n_freq: int, horizon: int) -> StructureBasis:
             f"2 * n_freq = {2 * n_freq} must be < horizon = {horizon} "
             "(discrete orthogonality breaks otherwise)"
         )
+    return StructureBasis("trig", 2 * n_freq + 1, horizon, float(horizon))
+
+
+@functools.lru_cache(maxsize=8)
+def _trig_rows(n_freq: int, horizon: int) -> np.ndarray:
+    """Read-only trig rows [1; sqrt(2) cos; sqrt(2) sin], interleaved per n."""
     t = np.arange(1, horizon + 1)
-    rows = np.empty((2 * n_freq + 1, horizon))
-    rows[0] = 1.0
-    for n in range(1, n_freq + 1):
-        phase = 2.0 * np.pi * n * t / horizon
-        rows[2 * n - 1] = np.sqrt(2.0) * np.cos(phase)
-        rows[2 * n] = np.sqrt(2.0) * np.sin(phase)
-    basis = StructureBasis("trig", 2 * n_freq + 1, horizon, float(horizon), rows)
-    _check_gram(rows, basis.gram_constant)
-    return basis
+    phase = 2.0 * np.pi * np.arange(1, n_freq + 1)[:, None] * t / horizon
+    rows = np.ones((2 * n_freq + 1, horizon))
+    rows[1::2] = np.sqrt(2.0) * np.cos(phase)
+    rows[2::2] = np.sqrt(2.0) * np.sin(phase)
+    rows.flags.writeable = False
+    return rows
 
 
 def project(x, basis: StructureBasis) -> np.ndarray:
@@ -104,7 +101,11 @@ def project(x, basis: StructureBasis) -> np.ndarray:
         raise ValueError(
             f"x has {x.shape[1]} columns but basis horizon is {basis.horizon}"
         )
-    return x @ basis.rows.T / basis.gram_constant
+    if basis.kind == "trig":
+        return x @ _trig_rows(basis.tau // 2, basis.horizon).T / basis.gram_constant
+    # Sum the T / tau folds along a contiguous axis: numpy sums it pairwise.
+    folds = x.reshape(x.shape[0], -1, basis.tau).transpose(0, 2, 1)
+    return np.ascontiguousarray(folds).sum(axis=2) / basis.gram_constant
 
 
 def expand(a_tilde, basis: StructureBasis) -> np.ndarray:
@@ -115,4 +116,6 @@ def expand(a_tilde, basis: StructureBasis) -> np.ndarray:
             f"coefficient matrix has {a_tilde.shape[1]} columns "
             f"but basis tau is {basis.tau}"
         )
-    return a_tilde @ basis.rows
+    if basis.kind == "trig":
+        return a_tilde @ _trig_rows(basis.tau // 2, basis.horizon)
+    return np.tile(a_tilde, basis.horizon // basis.tau)

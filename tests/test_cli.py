@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strucfact import build_periodic, expand, fit, predict, project
+from strucfact import build_periodic, build_trig, expand, fit, predict, project
 from strucfact.cli import main, read_matrix, write_matrix
 
 
@@ -39,6 +39,14 @@ def assert_rejected(capsys, code, out, codes=(2,)):
     assert not out.exists()
     assert "Traceback" not in err
     return err
+
+
+def _package_env() -> dict:
+    """Environment in which a child `python -m strucfact.cli` finds this package."""
+    import strucfact
+    src = str(Path(strucfact.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 SIM_CFG = {
@@ -104,6 +112,15 @@ class TestSimulate:
         code, out = run(tmp_path, "simulate", cfg, "sim_big")
         err = assert_rejected(capsys, code, out, codes=(3,))
         assert err.startswith("numeric failure:")
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "iid", "sigma": 1e200},
+        {"kind": "ma1", "sigma": 1e200, "theta": 0.5},
+        {"kind": "ar1", "sigma": 1e200, "rho": 0.5}])
+    def test_overflowing_sigma_names_the_key(self, tmp_path, capsys, noise):
+        code, out = run(tmp_path, "simulate", dict(SIM_CFG, noise=noise), "sim_big")
+        err = assert_rejected(capsys, code, out, codes=(3,))
+        assert "sigma" in err and "1e+200" in err
 
     def test_manifest_echoes_config_verbatim(self, tmp_path):
         cfg = dict(SIM_CFG, noise={"kind": "ar1", "sigma": 1, "rho": 0.5})
@@ -193,6 +210,35 @@ class TestFit:
         code, out = run(tmp_path, "fit", fit_cfg, "fit_big")
         err = assert_rejected(capsys, code, out, codes=(3,))
         assert err.startswith("numeric failure:")
+
+    def test_overflowing_risk_prints_one_stderr_line(self, tmp_path):
+        # As a separate process, so that a numpy warning would reach stderr.
+        x = 1e200 * np.random.default_rng(0).standard_normal((6, 24))
+        write_matrix(tmp_path / "X.csv", x)
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"x": str(tmp_path / "X.csv"), "k": 2,
+                                   "basis": {"kind": "periodic", "tau": 4}}))
+        out = tmp_path / "fit_big"
+        result = subprocess.run(
+            [sys.executable, "-m", "strucfact.cli", "fit", "--config", str(cfg),
+             "--out", str(out)], env=_package_env(), capture_output=True, text=True)
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
+        assert not out.exists()
+
+    def test_trig_gram_residual_is_measured_on_the_probe(self, tmp_path):
+        write_matrix(tmp_path / "X.csv",
+                     np.random.default_rng(3).standard_normal((4, 48)))
+        cfg = {"x": str(tmp_path / "X.csv"), "k": 2,
+               "basis": {"kind": "trig", "n_freq": 10}}
+        code, out = run(tmp_path, "fit", cfg, "fit_trig")
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        b = build_trig(10, 48)
+        gram = b.rows @ b.rows.T - b.gram_constant * np.eye(b.tau)
+        expected = np.linalg.norm(gram[:min(b.tau, 8)], "fro")
+        assert abs(summary["gram_residual"] - expected) <= 1e-12
 
 
 class TestSelect:
@@ -446,14 +492,10 @@ def test_negative_seed_override_exits_2_without_output(tmp_path, capsys,
 
 
 def test_cli_import_loads_no_scipy():
-    import strucfact
-    src = str(Path(strucfact.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys, strucfact.cli; "
              "print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,50 @@ class TestProjectExpand:
         lhs = np.linalg.norm(expand(a, basis), "fro") ** 2
         rhs = basis.gram_constant * np.linalg.norm(a, "fro") ** 2
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def dense_reference(basis):
+    """L written out from its definition, independently of structure.py."""
+    tau, horizon = basis.tau, basis.horizon
+    if basis.kind != "trig":
+        return np.hstack([np.eye(tau)] * (horizon // tau))
+    t = np.arange(1, horizon + 1)
+    rows = [np.ones(horizon)]
+    for n in range(1, tau // 2 + 1):
+        rows.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * n * t / horizon))
+        rows.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * n * t / horizon))
+    return np.array(rows)
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+class TestOperatorsMatchDense:
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_project(self, basis):
+        x = np.random.default_rng(21).standard_normal((3, basis.horizon))
+        assert_close(project(x, basis),
+                     x @ dense_reference(basis).T / basis.gram_constant)
+
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_expand(self, basis):
+        a = np.random.default_rng(22).standard_normal((3, basis.tau))
+        assert_close(expand(a, basis), a @ dense_reference(basis))
+
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_rows(self, basis):
+        assert_close(basis.rows, dense_reference(basis))
+
+    def test_identity_and_periodic_allocate_no_dense_matrix(self):
+        # A dense eye(4096) alone would take 134 MB.
+        x = np.random.default_rng(23).standard_normal((2, 4096))
+        tracemalloc.start()
+        try:
+            for basis in (build_identity(4096), build_periodic(4096, 4096)):
+                expand(project(x, basis), basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
