@@ -131,6 +131,14 @@ def _needs(parsed: dict, keys, what: str) -> None:
         raise ConfigError(f"{what} needs {missing}")
 
 
+def _noise_spec(noise: dict) -> NoiseSpec:
+    """The parsed noise section as a NoiseSpec; its range checks name the section."""
+    try:
+        return NoiseSpec(**noise)
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from exc
+
+
 # ---------- file I/O ----------
 
 def write_matrix(path: Path, m: np.ndarray) -> None:
@@ -174,7 +182,7 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     p = _parse(cfg, SIMULATE, "simulate")
     scenario, d, horizon, k = p["scenario"], p["d"], p["T"], p["k"]
     _needs(p, SIMULATE_NEEDS[scenario], f"simulate: scenario {scenario!r}")
-    spec = NoiseSpec(**p["noise"])
+    spec = _noise_spec(p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
     smooth = (sobolev.SmoothFactorSpec(k=k, **p["smooth"])
               if scenario == "smooth" else None)
@@ -306,7 +314,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
     p = _parse(cfg, RATE_CHECK, "rate-check")
     scenario, d, k, reps = p["scenario"], p["d"], p["k"], p["replications"]
     _needs(p, RATE_NEEDS[scenario], f"rate-check: scenario {scenario!r}")
-    spec = NoiseSpec(**p["noise"])
+    spec = _noise_spec(p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
 
     # Points (T, n_freq, fit basis): a sweep over T, or the smooth scenario's
@@ -395,7 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Monte-Carlo replications")
+                       help="worker threads for rate-check replications; they "
+                            "multiply with BLAS threads, so pair --threads > 1 "
+                            "with OPENBLAS_NUM_THREADS=1 (results are identical "
+                            "at every thread count)")
     return parser
 
 

@@ -3,7 +3,9 @@
 Fitting projects the observation through the basis, takes the rank-k
 truncated SVD of the projection (the exact minimizer of the squared
 Frobenius distance over rank <= k matrices), and splits it into balanced
-factors U (d x k) and V (k x tau).
+factors U (d x k) and V (k x tau).  Only the top k singular triplets are
+computed, by `linalg.top_k`: a Gram-matrix eigensolve on the shorter side of
+the d x tau projection plus one thin SVD of a k-column matrix.
 """
 from __future__ import annotations
 
@@ -32,13 +34,13 @@ def fit(x, basis: StructureBasis, k: int) -> FactorModel:
     if not 1 <= k <= min(d, basis.tau):
         raise ValueError(f"k={k} out of range [1, {min(d, basis.tau)}]")
     x_tilde = project(x, basis)
-    s = linalg.svd(x_tilde)
+    s = linalg.top_k(x_tilde, k)
     m_tilde_hat = linalg.truncate_rank(s, k)
-    root = np.sqrt(s.singular_values[:k])
-    u = s.left[:, :k] * root
-    v = (s.right[:, :k] * root).T
+    root = np.sqrt(s.singular_values)
+    u = s.left * root
+    v = (s.right * root).T
     return FactorModel(u=u, v=v, basis=basis, m_tilde_hat=m_tilde_hat,
-                       rank=min(k, s.rank))
+                       rank=s.rank)
 
 
 def predict(model: FactorModel) -> np.ndarray:

@@ -50,7 +50,7 @@ class NoiseSpec:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.kind == "ar1" and not abs(self.rho) < 1:
-            raise ValueError("ar1 requires |rho| < 1 for stationarity")
+            raise ValueError(f"rho must satisfy |rho| < 1 for ar1, got {self.rho!r}")
 
 
 @dataclass(frozen=True)

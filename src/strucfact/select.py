@@ -100,6 +100,9 @@ def _residuals(x: np.ndarray, basis: StructureBasis) -> np.ndarray:
     summed from the smallest value up, so small residuals do not cancel.
     """
     x_tilde = project(x, basis)
+    # The full SVD, not linalg.top_k: the Gram matrix squares the condition
+    # number, and the tail must hold at roundoff (noise sigma=1e-9 in
+    # test_cli's TestSelect.test_noiseless_recovery).
     s2 = linalg.svd(x_tilde).singular_values ** 2
     out_of_span = float(np.sum((x - expand(x_tilde, basis)) ** 2))
     tail = np.append(np.cumsum(s2[::-1])[::-1], 0.0)

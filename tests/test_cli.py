@@ -357,11 +357,13 @@ class TestRateCheck:
                 "replications"} <= set(report["points"][0])
         assert "slope" in report and "slope_stderr" in report
 
-    def test_threads_do_not_change_result(self, tmp_path):
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_threads_do_not_change_result(self, tmp_path, threads):
+        # d = 8 < T: every fit takes the Gram path of linalg.top_k.
         _, out1 = run(tmp_path, "rate-check", self.small_cfg(), "rate1",
                       threads=1)
-        _, out2 = run(tmp_path, "rate-check", self.small_cfg(), "rate4",
-                      threads=4)
+        _, out2 = run(tmp_path, "rate-check", self.small_cfg(), "rate_n",
+                      threads=threads)
         assert dir_hash(out1) == dir_hash(out2)
 
     def test_too_few_sweep_points_rejected(self, tmp_path):
@@ -455,6 +457,17 @@ class TestNoiseConfigErrors:
         assert code == 2
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "rate-check"])
+    def test_nonstationary_ar1_exits_2_naming_the_section(self, tmp_path, capsys,
+                                                          command):
+        base = SIM_CFG if command == "simulate" else TestRateCheck().small_cfg()
+        cfg = dict(base, noise={"kind": "ar1", "sigma": 1.0, "rho": 1.5})
+        code, out = run(tmp_path, command, cfg, "out")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: noise: rho must satisfy |rho| < 1 for ar1, got 1.5\n")
 
 
 SMOOTH_RATE_CFG = {

@@ -28,6 +28,16 @@ class TestFit:
         err = np.linalg.norm(predict(model) - x, "fro")
         assert err <= 1e-9 * np.linalg.norm(x, "fro")
 
+    @pytest.mark.parametrize("d,basis", [(6, build_periodic(12, 24)),
+                                         (20, build_periodic(6, 24))])
+    def test_rank_deficient_fit_reports_true_rank(self, d, basis):
+        # d < tau and d > tau: the Gram matrix is taken on either side.
+        x = structured_instance(basis, d, 2, seed=9)
+        model = fit(x, basis, 5)
+        assert model.rank == 2
+        err = np.linalg.norm(predict(model) - x, "fro")
+        assert err <= 1e-9 * np.linalg.norm(x, "fro")
+
     def test_full_rank_fit_is_projection(self):
         rng = np.random.default_rng(2)
         basis = build_periodic(4, 12)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from strucfact import svd, truncate_rank
-from strucfact.linalg import operator_norm_safe
+from strucfact import linalg, svd, truncate_rank
+from strucfact.linalg import operator_norm_safe, top_k
+
+WIDE_AND_TALL = [(6, 40), (40, 6)]
 
 
 def char_poly_eigs_3x3(a):
@@ -145,3 +147,64 @@ class TestTruncateRank:
             # optimal scalar rescale keeps the candidate rank-2 but fairer
             alpha = np.sum(a * cand) / max(np.sum(cand * cand), 1e-300)
             assert err <= np.linalg.norm(a - alpha * cand, "fro") + 1e-12
+
+
+def gapped(shape, seed):
+    """Random singular vectors with singular values 1, 1/2, 1/4, ..."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    r = min(m, n)
+    u, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    return (u * 2.0 ** -np.arange(r)) @ v.T
+
+
+@pytest.mark.parametrize("shape", WIDE_AND_TALL)
+class TestTopK:
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_matches_svd_truncation_on_gapped_spectrum(self, shape, k):
+        a = gapped(shape, seed=k)
+        full, top = svd(a), top_k(a, k)
+        np.testing.assert_allclose(top.singular_values,
+                                   full.singular_values[:k], rtol=1e-13)
+        np.testing.assert_allclose(truncate_rank(top, k), truncate_rank(full, k),
+                                   rtol=0, atol=1e-14)
+        assert top.left.shape == (shape[0], k)
+        assert top.right.shape == (shape[1], k)
+        np.testing.assert_allclose(top.left.T @ top.left, np.eye(k), atol=1e-14)
+        np.testing.assert_allclose(top.right.T @ top.right, np.eye(k), atol=1e-14)
+
+    def test_exact_low_rank_counts_rank(self, shape):
+        # sqrt of the Gram eigenvalues would put the zero singular values
+        # near 1e-8 sigma_1, above RANK_RTOL.
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+        top = top_k(a, 4)
+        assert top.rank == 2
+        assert np.all(top.singular_values[2:] < 1e-14 * top.singular_values[0])
+
+    def test_zero_matrix(self, shape):
+        top = top_k(np.zeros(shape), 2)
+        assert top.rank == 0
+        np.testing.assert_array_equal(top.singular_values, 0.0)
+        np.testing.assert_array_equal(truncate_rank(top, 2), 0.0)
+
+    def test_huge_entries_give_finite_factors(self, shape):
+        a = 1e200 * np.random.default_rng(5).standard_normal(shape)
+        top = top_k(a, 3)
+        assert all(np.all(np.isfinite(f)) for f in (top.left, top.right))
+        np.testing.assert_allclose(top.singular_values,
+                                   1e200 * svd(a / 1e200).singular_values[:3],
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_k_out_of_range(self, shape, k):
+        with pytest.raises(ValueError):
+            top_k(np.ones(shape), k)
+
+    def test_one_svd_call(self, shape, monkeypatch):
+        calls = []
+        inner = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or inner(a))
+        top_k(gapped(shape, seed=0), 3)
+        assert calls == [(max(shape), 3)]
