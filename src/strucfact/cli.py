@@ -3,8 +3,10 @@
 All commands read a strict JSON config, write CSV matrices (17 significant
 digits, comma delimiter, no header) plus strict JSON manifests/reports, and
 are fully deterministic given (config, seed, threads).  Each command checks
-its config against one typed table before computing anything, and computes
-every output before it creates the output directory.
+its config against one typed table before computing anything, computes
+every output before it writes a file, and publishes the output directory
+atomically.  The CSV writer formats each value once: a tiled matrix (a
+periodic signal, an identity or periodic fit) repeats its formatted period.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -13,7 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,7 +27,7 @@ import numpy as np
 from . import estimator, sobolev, structure
 from .errors import ConvergenceError
 from .noise import KINDS, NoiseSpec, replication_seed, sample_noise, sigma_op_norm
-from .select import CandidateGrid, PenaltyParams, calibrate_noise_level, select
+from .select import CandidateGrid, PenaltyParams, select
 
 SCHEMA_VERSION = 1
 CSV_FMT = "%.17g"
@@ -141,12 +146,57 @@ def _noise_spec(noise: dict) -> NoiseSpec:
 
 # ---------- file I/O ----------
 
-def write_matrix(path: Path, m: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(m), fmt=CSV_FMT, delimiter=",")
+def write_matrix(path: Path, m: np.ndarray, repeats: int = 1) -> None:
+    """Write `m` tiled `repeats` times as CSV, one row per write().
+
+    Each value is formatted once with CSV_FMT and each formatted row is
+    repeated.  The bytes are np.savetxt's of np.tile(np.atleast_2d(m), repeats).
+    """
+    m = np.atleast_2d(m)
+    row_fmt = ",".join([CSV_FMT] * m.shape[1])
+    with open(path, "w") as fh:
+        for row in m:
+            fh.write(",".join([row_fmt % tuple(row)] * repeats) + "\n")
+
+
+def _tiles(m: np.ndarray, period: int) -> tuple[np.ndarray, int]:
+    """(first period, count) of a matrix whose columns repeat every `period`."""
+    return m[:, :period], m.shape[1] // period
 
 
 def read_matrix(path: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def _publish(out: Path, files: dict) -> None:
+    """Write `files` (name -> text or (matrix, repeats)) and publish them.
+
+    A new `out` is staged in a temporary sibling and renamed into place.  An
+    existing `out` is staged in a temporary directory inside it, so only `out`
+    must be writable and nothing crosses a filesystem; its finished files are
+    moved in with os.replace one at a time.  On error no new `out` and no
+    temporary directory is left.
+    """
+    exists = out.is_dir()
+    if not exists:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".strucfact-",
+                                  dir=out if exists else out.parent))
+    try:
+        tmp = stage / "out"
+        tmp.mkdir()  # default permissions, unlike mkdtemp's 0700
+        for name, content in files.items():
+            if isinstance(content, str):
+                (tmp / name).write_text(content)
+            else:
+                write_matrix(tmp / name, *content)
+        if exists:
+            for name in files:
+                os.replace(tmp / name, out / name)
+        else:
+            tmp.rename(out)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _json_text(payload: dict) -> str:
@@ -163,19 +213,21 @@ def _json_text(payload: dict) -> str:
 def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
                        tau: int | None = None,
                        smooth: sobolev.SmoothFactorSpec | None = None):
-    """Ground-truth signal for one scenario; returns (M, U, V_rows)."""
+    """Ground-truth signal for one scenario; returns (M, U, V_rows, period),
+    where the columns of M repeat every `period`."""
     rng = np.random.default_rng(seed)
     if scenario == "smooth":
         w = sobolev.gen_smooth_dictionary(smooth, horizon, seed)
         u = rng.standard_normal((d, k))
         u /= np.linalg.norm(u, axis=1, keepdims=True)  # row norms = 1
-        return u @ w, u, w
+        return u @ w, u, w, horizon
     u = rng.standard_normal((d, k))
     if scenario == "periodic":
         v = rng.standard_normal((k, tau))
-        return structure.expand(u @ v, structure.build_periodic(tau, horizon)), u, v
+        basis = structure.build_periodic(tau, horizon)
+        return structure.expand(u @ v, basis), u, v, basis.period
     v = rng.standard_normal((k, horizon))
-    return u @ v, u, v
+    return u @ v, u, v, horizon
 
 
 def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
@@ -187,16 +239,14 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     smooth = (sobolev.SmoothFactorSpec(k=k, **p["smooth"])
               if scenario == "smooth" else None)
 
-    m, u, v = _simulate_instance(scenario, d, horizon, k, seed,
-                                 tau=p["tau"], smooth=smooth)
+    m, u, v, period = _simulate_instance(scenario, d, horizon, k, seed,
+                                         tau=p["tau"], smooth=smooth)
     x = m + sample_noise(spec, d, horizon, replication_seed(seed, 1))
     manifest = _json_text({"config": cfg, "seed": seed,
                            "noise_op_norm": sigma_op_norm(spec, horizon).op_norm})
 
-    out.mkdir(parents=True, exist_ok=True)
-    for name, matrix in (("M", m), ("X", x), ("U", u), ("V", v)):
-        write_matrix(out / f"{name}.csv", matrix)
-    (out / "manifest.json").write_text(manifest)
+    _publish(out, {"M.csv": _tiles(m, period), "X.csv": (x, 1),
+                   "U.csv": (u, 1), "V.csv": (v, 1), "manifest.json": manifest})
 
 
 # ---------- fit ----------
@@ -227,11 +277,9 @@ def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
             np.linalg.norm(round_trip - probe, "fro")),
     })
 
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "M_hat.csv", m_hat)
-    write_matrix(out / "U.csv", model.u)
-    write_matrix(out / "V.csv", model.v)
-    (out / "summary.json").write_text(summary)
+    _publish(out, {"M_hat.csv": _tiles(m_hat, basis.period),
+                   "U.csv": (model.u, 1), "V.csv": (model.v, 1),
+                   "summary.json": summary})
 
 
 # ---------- select ----------
@@ -244,11 +292,9 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
     bases = [structure.build_periodic(tau, horizon) for tau in p["taus"]]
     bases += [structure.build_trig(n_freq, horizon) for n_freq in p["n_freqs"]]
     grid = CandidateGrid(bases=bases, ranks=p["ranks"])
-    noise_level = pen["noise_level"]
-    if noise_level is None:
-        noise_level = calibrate_noise_level(x, grid)
     result = select(x, grid, PenaltyParams(lam=pen["lambda"], c_pen=pen["c_pen"],
-                                           noise_level=noise_level, s=pen["s"]))
+                                           noise_level=pen["noise_level"],
+                                           s=pen["s"]))
     table = "tau,k,empirical_risk,penalty,score,chosen\n" + "".join(
         f"{row.tau},{row.k},{row.empirical_risk:.17g},"
         f"{row.penalty:.17g},{row.score:.17g},{int(row.chosen)}\n"
@@ -256,13 +302,11 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
     winner = _json_text({
         "chosen_tau": result.chosen_tau,
         "chosen_k": result.chosen_k,
-        "noise_level": noise_level,
+        "noise_level": result.noise_level,
         "score": min(r.score for r in result.table),
     })
 
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "table.csv").write_text(table)
-    (out / "winner.json").write_text(winner)
+    _publish(out, {"table.csv": table, "winner.json": winner})
 
 
 # ---------- rate-check ----------
@@ -272,8 +316,8 @@ def _one_replication(scenario, d, horizon, k, spec, fit_basis, idx, seed,
     """simulate -> fit -> normalized risk for one Monte-Carlo replication."""
     sig_seed = replication_seed(seed, 2 * idx)
     eps_seed = replication_seed(seed, 2 * idx + 1)
-    m, _, _ = _simulate_instance(scenario, d, horizon, k, sig_seed,
-                                 tau=tau, smooth=smooth)
+    m, *_ = _simulate_instance(scenario, d, horizon, k, sig_seed,
+                               tau=tau, smooth=smooth)
     x = m + sample_noise(spec, d, horizon, eps_seed)
     model = estimator.fit(x, fit_basis, k)
     return estimator.risk(estimator.predict(model), m)
@@ -375,10 +419,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         report.update(slope=slope, intercept=intercept, slope_stderr=se,
                       slope_tol=p["slope_tol"],
                       passed=bool(abs(slope - 1.0) <= p["slope_tol"]))
-    text = _json_text(report)
-
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "rate_report.json").write_text(text)
+    _publish(out, {"rate_report.json": _json_text(report)})
 
 
 # ---------- entry point ----------

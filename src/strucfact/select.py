@@ -6,10 +6,11 @@ k * (d + tau + shifted confidence level) * noise level.  The winner is the
 pair with the smallest score; exact ties go to the smaller k, then the
 smaller tau.  The empirical risks of all ranks of one basis come from a
 single SVD of the projection (see _residuals); only the winner is refit.
+Without a given noise level, the plug-in is read from the same profiles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class CandidateGrid:
 class PenaltyParams:
     lam: float           # lambda in (0, 1)
     c_pen: float         # user-facing constant absorbing the theory constants
-    noise_level: float   # operator norm of the noise row covariance
+    noise_level: float | None  # noise row covariance op norm; None: plug-in
     s: float = 1.0       # confidence parameter
 
     def __post_init__(self):
@@ -48,7 +49,7 @@ class PenaltyParams:
             raise ValueError("lam must lie in (0, 1)")
         if self.c_pen < 0:
             raise ValueError("c_pen must be nonnegative")
-        if self.noise_level <= 0:
+        if self.noise_level is not None and self.noise_level <= 0:
             raise ValueError("noise_level must be positive")
         if self.s < 0:
             raise ValueError("s must be nonnegative")
@@ -71,6 +72,7 @@ class SelectionResult:
     chosen_k: int
     table: list[ScoreRow] = field(repr=False)
     fitted: FactorModel = field(repr=False)
+    noise_level: float   # the level the penalties used
 
     @property
     def chosen_tau(self) -> int:
@@ -113,16 +115,25 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     """Score every feasible (basis, k) pair and return the minimizer.
 
     Pairs with k > min(d, tau) are skipped.  Raises ValueError when no pair
-    is feasible.
+    is feasible.  A `params.noise_level` of None means the
+    `calibrate_noise_level` plug-in, read from the same residual profiles.
     """
     x = as_matrix(x)
-    d = x.shape[0]
+    d, t = x.shape
+    profiles = {bi: _residuals(x, basis) for bi, basis in enumerate(grid.bases)
+                if grid.ranks[0] <= min(d, basis.tau)}
+    if params.noise_level is None:
+        bi = max(range(len(grid.bases)), key=lambda i: grid.bases[i].tau)
+        basis = grid.bases[bi]
+        resid = profiles[bi] if bi in profiles else _residuals(x, basis)
+        k = min(max(grid.ranks), d, basis.tau)
+        params = replace(params, noise_level=float(resid[k] / (d * t)))
     table: list[ScoreRow] = []
     for bi, basis in enumerate(grid.bases):
         ranks = [k for k in grid.ranks if k <= min(d, basis.tau)]
         if not ranks:
             continue
-        resid = _residuals(x, basis)
+        resid = profiles[bi]
         for k in ranks:
             er = float(resid[k])
             pen = penalty(params, d, basis.tau, k)
@@ -140,6 +151,7 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
         chosen_k=winner.k,
         table=table,
         fitted=fit(x, grid.bases[winner.basis_index], winner.k),
+        noise_level=params.noise_level,
     )
 
 

@@ -14,8 +14,9 @@ expansion is the adjoint map back to d x T.
 
 L is applied as an operator and never stored.  Identity is periodic with
 tau = T: projection sums the T / tau blocks of tau columns of X, expansion
-tiles the coefficients.  Trig multiplies by one cached read-only table of
-its rows.  `basis.rows` materialises L on demand.
+tiles the coefficients (so it repeats every `basis.period` columns).  Trig
+multiplies by one cached read-only table of its rows.  `basis.rows`
+materialises L on demand.
 """
 from __future__ import annotations
 
@@ -33,6 +34,11 @@ class StructureBasis:
     tau: int
     horizon: int
     gram_constant: float
+
+    @property
+    def period(self) -> int:
+        """Columns after which an expansion repeats: tau, or T for trig."""
+        return self.horizon if self.kind == "trig" else self.tau
 
     @property
     def rows(self) -> np.ndarray:

@@ -204,3 +204,21 @@ class TestResidualProfile:
         calls.clear()
         calibrate_noise_level(x, grid)
         assert len(calls) == 1
+
+
+class TestPlugInSelect:
+    """noise_level=None: select reads the plug-in from its own profiles."""
+
+    def test_equals_calibrate_then_select(self):
+        x, grid = TestResidualProfile().instance()
+        level = calibrate_noise_level(x, grid)
+        expected = select(x, grid, PenaltyParams(lam=0.5, c_pen=2.0,
+                                                 noise_level=level))
+        result = select(x, grid, PenaltyParams(lam=0.5, c_pen=2.0,
+                                               noise_level=None))
+        assert result.noise_level == expected.noise_level == level
+        assert result.table == expected.table
+        assert result.chosen_tau_index == expected.chosen_tau_index
+        assert result.chosen_k == expected.chosen_k
+        np.testing.assert_array_equal(result.fitted.m_tilde_hat,
+                                      expected.fitted.m_tilde_hat)
