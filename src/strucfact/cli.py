@@ -2,17 +2,19 @@
 
 All commands read a strict JSON config, write CSV matrices (17 significant
 digits, comma delimiter, no header) plus strict JSON manifests/reports, and
-are fully deterministic given (config, seed, threads).  Each command checks
-its config against one typed table before computing anything, computes
-every output before it writes a file, and publishes the output directory
-atomically.  The CSV writer formats each value once: a tiled matrix (a
-periodic signal, an identity or periodic fit) repeats its formatted period.
+are fully deterministic given (config, seed), independent of the thread
+count.  Each command checks its config against one typed table before
+computing anything, computes every output before it writes a file, and
+publishes the output directory atomically.  The CSV writer formats each
+value once: a tiled matrix (a periodic signal, an identity or periodic fit)
+repeats its formatted period.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -217,7 +219,8 @@ def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
     where the columns of M repeat every `period`."""
     rng = np.random.default_rng(seed)
     if scenario == "smooth":
-        w = sobolev.gen_smooth_dictionary(smooth, horizon, seed)
+        # Not `seed` itself, whose first draw is U's first row.
+        w = sobolev.gen_smooth_dictionary(smooth, horizon, replication_seed(seed, 0))
         u = rng.standard_normal((d, k))
         u /= np.linalg.norm(u, axis=1, keepdims=True)  # row norms = 1
         return u @ w, u, w, horizon
@@ -311,9 +314,9 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
 
 # ---------- rate-check ----------
 
-def _one_replication(scenario, d, horizon, k, spec, fit_basis, idx, seed,
-                     tau=None, smooth=None):
-    """simulate -> fit -> normalized risk for one Monte-Carlo replication."""
+def _one_replication(scenario, d, k, spec, seed, tau, smooth, point, idx):
+    """simulate -> fit -> normalized risk of replication `idx` at (T, basis)."""
+    horizon, fit_basis = point
     sig_seed = replication_seed(seed, 2 * idx)
     eps_seed = replication_seed(seed, 2 * idx + 1)
     m, *_ = _simulate_instance(scenario, d, horizon, k, sig_seed,
@@ -323,19 +326,15 @@ def _one_replication(scenario, d, horizon, k, spec, fit_basis, idx, seed,
     return estimator.risk(estimator.predict(model), m)
 
 
-def _mean_risks(jobs, replications, threads):
-    """Run callables indexed (point, replication) and average per point."""
-    results = np.empty((len(jobs), replications))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {(i, r): pool.submit(job, r)
-                       for i, job in enumerate(jobs) for r in range(replications)}
-            for (i, r), fut in futures.items():
-                results[i, r] = fut.result()
-    else:
-        for i, job in enumerate(jobs):
-            for r in range(replications):
-                results[i, r] = job(r)
+def _mean_risks(replicate, points, replications, threads):
+    """Run replicate(point i, i * replications + r) for every point i and
+    replication r on one pool; return the mean and std risk per point."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        tasks = [pool.submit(replicate, point, i * replications + r)
+                 for i, point in enumerate(points) for r in range(replications)]
+    # Read after the pool joins: waiting on each task in turn wakes this thread
+    # per task (~1000 context switches per smooth workload run on 2 cores).
+    results = np.reshape([t.result() for t in tasks], (len(points), replications))
     return results.mean(axis=1), results.std(axis=1)
 
 
@@ -361,8 +360,8 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
     spec = _noise_spec(p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
 
-    # Points (T, n_freq, fit basis): a sweep over T, or the smooth scenario's
-    # cutoff grid {1, N*/2, N*, 2N*, 4N*} at one T.
+    # Points (T, fit basis): a sweep over T, or the smooth scenario's cutoff
+    # grid {1, N*/2, N*, 2N*, 4N*} of trig bases (n_freq = tau // 2) at one T.
     smooth = None
     if scenario == "smooth":
         smooth = sobolev.SmoothFactorSpec(k=k, **p["smooth"])
@@ -370,40 +369,36 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         if horizon < 2 * smooth.n_terms + 2:
             raise ConfigError(f"rate-check: T={horizon} must be >= 2 n_terms + 2 "
                               f"= {2 * smooth.n_terms + 2}")
-        op = {horizon: sigma_op_norm(spec, horizon).op_norm}
         n_star = sobolev.optimal_cutoff(smooth.beta, p["c_beta_l"], d, horizon,
-                                        k, op[horizon])
+                                        k, sigma_op_norm(spec, horizon).op_norm)
         grid = sorted({max(1, n) for n in
                        (1, n_star // 2, n_star, 2 * n_star, 4 * n_star)
                        if 2 * max(1, n) < horizon})
-        points = [(horizon, n, structure.build_trig(n, horizon)) for n in grid]
+        points = [(horizon, structure.build_trig(n, horizon)) for n in grid]
     else:
         sweep = p["sweep_T"]
         if len(set(sweep)) < 4:
             raise ConfigError("rate-check: sweep_T needs at least 4 distinct "
                               f"points for the regression, got {sweep}")
-        op = {horizon: sigma_op_norm(spec, horizon).op_norm for horizon in sweep}
-        points = [(horizon, None, structure.build_identity(horizon)
+        points = [(horizon, structure.build_identity(horizon)
                    if scenario == "unstructured"
                    else structure.build_periodic(p["tau"], horizon))
                   for horizon in sweep]
-    for horizon, _, basis in points:
+    rows = []
+    for horizon, basis in points:
         if k > min(d, basis.tau):
             raise ConfigError(f"rate-check: k={k} exceeds min(d, tau) = "
                               f"{min(d, basis.tau)} at T={horizon}")
-
-    rows, jobs = [], []
-    for i, (horizon, n_freq, basis) in enumerate(points):
         row = {"d": d, "T": horizon, "tau": basis.tau, "k": k}
-        rate = op[horizon] * k * (d + basis.tau + p["s"]) / (d * horizon)
+        rate = (sigma_op_norm(spec, horizon).op_norm
+                * k * (d + basis.tau + p["s"]) / (d * horizon))
         if smooth is not None:
-            row["n_freq"] = n_freq
+            row["n_freq"] = n_freq = basis.tau // 2
             rate += p["c_beta_l"] * float(n_freq) ** (-2 * smooth.beta)
         rows.append(dict(row, theoretical_rate=rate))
-        jobs.append(lambda r, h=horizon, fb=basis, i=i:
-                    _one_replication(scenario, d, h, k, spec, fb, i * reps + r,
-                                     seed, tau=p["tau"], smooth=smooth))
-    means, stds = _mean_risks(jobs, reps, threads)
+    replicate = functools.partial(_one_replication, scenario, d, k, spec, seed,
+                                  p["tau"], smooth)
+    means, stds = _mean_risks(replicate, points, reps, threads)
     for row, mu, sd in zip(rows, means, stds):
         row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
 
@@ -457,6 +452,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         with open(args.config) as fh:
             cfg = json.load(fh)
         if isinstance(cfg, dict) and cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:

@@ -119,15 +119,11 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     `calibrate_noise_level` plug-in, read from the same residual profiles.
     """
     x = as_matrix(x)
-    d, t = x.shape
+    d = x.shape[0]
     profiles = {bi: _residuals(x, basis) for bi, basis in enumerate(grid.bases)
                 if grid.ranks[0] <= min(d, basis.tau)}
     if params.noise_level is None:
-        bi = max(range(len(grid.bases)), key=lambda i: grid.bases[i].tau)
-        basis = grid.bases[bi]
-        resid = profiles[bi] if bi in profiles else _residuals(x, basis)
-        k = min(max(grid.ranks), d, basis.tau)
-        params = replace(params, noise_level=float(resid[k] / (d * t)))
+        params = replace(params, noise_level=_plug_in(x, grid, profiles))
     table: list[ScoreRow] = []
     for bi, basis in enumerate(grid.bases):
         ranks = [k for k in grid.ranks if k <= min(d, basis.tau)]
@@ -141,11 +137,7 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     if not table:
         raise ValueError("no feasible (basis, rank) pair on the grid")
     winner = min(table, key=lambda r: (r.score, r.k, r.tau))
-    table = [
-        ScoreRow(r.basis_index, r.tau, r.k, r.empirical_risk, r.penalty, r.score,
-                 chosen=(r is winner))
-        for r in table
-    ]
+    table = [replace(r, chosen=True) if r is winner else r for r in table]
     return SelectionResult(
         chosen_tau_index=winner.basis_index,
         chosen_k=winner.k,
@@ -155,14 +147,20 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     )
 
 
+def _plug_in(x: np.ndarray, grid: CandidateGrid, profiles: dict) -> float:
+    """||X - fitted||_F^2 / (d T) of the largest model on the grid (max tau,
+    max feasible k); `profiles` may hold its basis's residual profile."""
+    d, t = x.shape
+    bi = max(range(len(grid.bases)), key=lambda i: grid.bases[i].tau)
+    basis = grid.bases[bi]
+    resid = profiles[bi] if bi in profiles else _residuals(x, basis)
+    return float(resid[min(max(grid.ranks), d, basis.tau)] / (d * t))
+
+
 def calibrate_noise_level(x, grid: CandidateGrid) -> float:
     """Residual-variance plug-in for the noise level.
 
     Takes the largest model on the grid (max tau, max feasible k) and returns
     its residual ||X - fitted||_F^2 / (d T).
     """
-    x = as_matrix(x)
-    d, t = x.shape
-    basis = max(grid.bases, key=lambda b: b.tau)
-    k = min(max(grid.ranks), d, basis.tau)
-    return float(_residuals(x, basis)[k] / (d * t))
+    return _plug_in(as_matrix(x), grid, {})

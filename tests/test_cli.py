@@ -83,6 +83,18 @@ class TestSimulate:
         _, out2 = run(tmp_path, "simulate", SIM_CFG, "sim_c", seed=99)
         assert dir_hash(out1) != dir_hash(out2)
 
+    def test_smooth_loadings_do_not_repeat_the_dictionary_draw(self, tmp_path):
+        # Projecting V onto its trig basis recovers the dictionary's constant
+        # terms a0.  Drawn from the same seed as U, a0 was U's first row
+        # before normalization.
+        cfg = dict(SIM_CFG, scenario="smooth", k=3, smooth=SMOOTH_CFG)
+        code, out = run(tmp_path, "simulate", cfg, "sim")
+        assert code == 0
+        u, v = read_matrix(out / "U.csv"), read_matrix(out / "V.csv")
+        a0 = project(v, build_trig(SMOOTH_CFG["n_terms"], 24))[:, 0]
+        assert not np.allclose(np.abs(u[0]), np.abs(a0) / np.linalg.norm(a0),
+                               atol=0.05)
+
     def test_unknown_key_is_config_error(self, tmp_path):
         bad = dict(SIM_CFG, typo_key=1)
         code, _ = run(tmp_path, "simulate", bad, "sim_bad")
@@ -507,15 +519,31 @@ def test_bad_smooth_spec_exits_2_without_output(tmp_path, capsys, command,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def command_cfg(command: str) -> dict:
+    """A config for `command`; fit and select name an input that is absent."""
+    return {"simulate": SIM_CFG, "rate-check": TestRateCheck().small_cfg(),
+            "fit": {"x": "X.csv", "basis": {"kind": "identity"}, "k": 1},
+            "select": {"x": "X.csv", "ranks": [1], "taus": [2],
+                       "penalty": {}}}[command]
+
+
 @pytest.mark.parametrize("command", ["simulate", "fit", "select", "rate-check"])
 def test_negative_seed_override_exits_2_without_output(tmp_path, capsys,
                                                        command):
-    cfg = {"simulate": SIM_CFG, "rate-check": TestRateCheck().small_cfg(),
-           "fit": {"x": "X.csv", "basis": {"kind": "identity"}, "k": 1},
-           "select": {"x": "X.csv", "ranks": [1], "taus": [2],
-                      "penalty": {}}}[command]
-    code, out = run(tmp_path, command, cfg, "neg_seed", seed=-1)
+    code, out = run(tmp_path, command, command_cfg(command), "neg_seed", seed=-1)
     assert_rejected(capsys, code, out)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("command", ["simulate", "fit", "select", "rate-check"])
+def test_threads_below_one_exit_2_before_any_work(tmp_path, capsys, command,
+                                                  threads):
+    # Checked before the config is read, so fit and select never reach
+    # their missing input.
+    code, out = run(tmp_path, command, command_cfg(command), "out",
+                    threads=threads)
+    err = assert_rejected(capsys, code, out)
+    assert err == f"config error: --threads must be >= 1, got {threads}\n"
 
 
 def test_cli_import_loads_no_scipy():
