@@ -21,6 +21,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -33,6 +34,9 @@ from .select import CandidateGrid, PenaltyParams, select
 
 SCHEMA_VERSION = 1
 CSV_FMT = "%.17g"
+# numpy error state under which an overflow or a NaN raises FloatingPointError
+# (exit 3) instead of printing a RuntimeWarning.
+FP_ERRORS = {"over": "raise", "invalid": "raise"}
 
 
 class ConfigError(ValueError):
@@ -53,7 +57,7 @@ NOISE = {"kind": (KINDS, REQUIRED, None), "sigma": (float, REQUIRED, POSITIVE),
          "theta": (float, 0.0, None), "rho": (float, 0.0, None)}
 SMOOTH = {"beta": (int, REQUIRED, 1), "ell": (float, REQUIRED, POSITIVE),
           "n_terms": (int, REQUIRED, 0)}
-BASIS = {"kind": (("identity", "periodic", "trig"), REQUIRED, None),
+BASIS = {"kind": (structure.KINDS, REQUIRED, None),
          "tau": (int, None, 1), "n_freq": (int, None, 0)}
 PENALTY = {"lambda": (float, 0.5, POSITIVE), "c_pen": (float, 2.0, 0),
            "s": (float, 1.0, 0), "noise_level": (float, None, POSITIVE)}
@@ -167,7 +171,13 @@ def _tiles(m: np.ndarray, period: int) -> tuple[np.ndarray, int]:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """The CSV matrix at `path`; a file without entries is a ValueError."""
+    with warnings.catch_warnings():  # numpy warns on a file without data
+        warnings.simplefilter("ignore", UserWarning)
+        m = np.loadtxt(path, delimiter=",", ndmin=2)
+    if m.size == 0:
+        raise ValueError(f"{path} holds no matrix entries")
+    return m
 
 
 def _publish(out: Path, files: dict) -> None:
@@ -319,11 +329,13 @@ def _one_replication(scenario, d, k, spec, seed, tau, smooth, point, idx):
     horizon, fit_basis = point
     sig_seed = replication_seed(seed, 2 * idx)
     eps_seed = replication_seed(seed, 2 * idx + 1)
-    m, *_ = _simulate_instance(scenario, d, horizon, k, sig_seed,
-                               tau=tau, smooth=smooth)
-    x = m + sample_noise(spec, d, horizon, eps_seed)
-    model = estimator.fit(x, fit_basis, k)
-    return estimator.risk(estimator.predict(model), m)
+    # A pool thread starts from numpy's default error state, not main's.
+    with np.errstate(**FP_ERRORS):
+        m, *_ = _simulate_instance(scenario, d, horizon, k, sig_seed,
+                                   tau=tau, smooth=smooth)
+        x = m + sample_noise(spec, d, horizon, eps_seed)
+        model = estimator.fit(x, fit_basis, k)
+        return estimator.risk(estimator.predict(model), m)
 
 
 def _mean_risks(replicate, points, replications, threads):
@@ -339,17 +351,10 @@ def _mean_risks(replicate, points, replications, threads):
 
 
 def _loglog_slope(rates, means):
-    """OLS slope of log(mean risk) on log(rate), with slope standard error."""
-    lx = np.log(rates)
-    ly = np.log(means)
-    n = len(lx)
-    xbar, ybar = lx.mean(), ly.mean()
-    sxx = np.sum((lx - xbar) ** 2)
-    slope = float(np.sum((lx - xbar) * (ly - ybar)) / sxx)
-    intercept = float(ybar - slope * xbar)
-    resid = ly - (intercept + slope * lx)
-    se = float(np.sqrt(np.sum(resid ** 2) / max(n - 2, 1) / sxx))
-    return slope, intercept, se
+    """OLS slope of log(mean risk) on log(rate), with slope standard error
+    (np.polyfit scales the covariance by residual / (n - 2))."""
+    (slope, intercept), cov = np.polyfit(np.log(rates), np.log(means), 1, cov=True)
+    return float(slope), float(intercept), float(np.sqrt(cov[0, 0]))
 
 
 def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
@@ -459,10 +464,11 @@ def main(argv=None) -> int:
         if isinstance(cfg, dict) and cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {cfg['schema']!r}")
         out = Path(args.out)
-        if args.command == "rate-check":
-            cmd_rate_check(cfg, out, args.seed, threads=args.threads)
-        else:
-            COMMANDS[args.command](cfg, out, args.seed)
+        with np.errstate(**FP_ERRORS):
+            if args.command == "rate-check":
+                cmd_rate_check(cfg, out, args.seed, threads=args.threads)
+            else:
+                COMMANDS[args.command](cfg, out, args.seed)
     except ValueError as exc:  # ConfigError and the library's argument checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,13 +28,9 @@ class FactorModel:
 
 
 def fit(x, basis: StructureBasis, k: int) -> FactorModel:
-    """Fit a rank-k factor model to a d x T observation matrix."""
-    x = as_matrix(x)
-    d = x.shape[0]
-    if not 1 <= k <= min(d, basis.tau):
-        raise ValueError(f"k={k} out of range [1, {min(d, basis.tau)}]")
-    x_tilde = project(x, basis)
-    s = linalg.top_k(x_tilde, k)
+    """Fit a rank-k factor model to a d x T observation matrix; `project`
+    validates x and `linalg.top_k` checks 1 <= k <= min(d, tau)."""
+    s = linalg.top_k(project(x, basis), k)
     m_tilde_hat = linalg.truncate_rank(s, k)
     root = np.sqrt(s.singular_values)
     u = s.left * root
@@ -59,5 +55,4 @@ def empirical_risk(estimate, x) -> float:
     x = as_matrix(x)
     if estimate.shape != x.shape:
         raise ValueError(f"shape mismatch {estimate.shape} vs {x.shape}")
-    with np.errstate(over="raise"):  # an overflow is a FloatingPointError
-        return float(np.sum((estimate - x) ** 2))
+    return float(np.sum((estimate - x) ** 2))

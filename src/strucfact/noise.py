@@ -55,6 +55,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class CovarianceSummary:
+    """Row-covariance operator norm and its closed-form upper bound.
+
+    exact=False (AR(1)) means op_norm is root-found to machine precision by
+    bisection, not given in closed form.
+    """
     op_norm: float   # operator norm of the row covariance
     bound: float     # closed-form upper bound
     exact: bool      # True when op_norm comes from an analytic formula
@@ -133,10 +138,8 @@ def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
     if horizon < 1:
         raise ValueError("horizon must be positive")
     s2 = _variance(spec)
-    if spec.kind == "iid":
-        return CovarianceSummary(op_norm=s2, bound=s2, exact=True)
-    if spec.kind == "ma1":
-        th = spec.theta
+    if spec.kind != "ar1":  # iid is MA(1) with theta = 0
+        th = spec.theta if spec.kind == "ma1" else 0.0
         ell = np.arange(1, horizon + 1)
         eigs = s2 * (1.0 + th ** 2 - 2.0 * th * np.cos(ell * np.pi / (horizon + 1)))
         return CovarianceSummary(

@@ -125,15 +125,11 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     if params.noise_level is None:
         params = replace(params, noise_level=_plug_in(x, grid, profiles))
     table: list[ScoreRow] = []
-    for bi, basis in enumerate(grid.bases):
-        ranks = [k for k in grid.ranks if k <= min(d, basis.tau)]
-        if not ranks:
-            continue
-        resid = profiles[bi]
-        for k in ranks:
-            er = float(resid[k])
-            pen = penalty(params, d, basis.tau, k)
-            table.append(ScoreRow(bi, basis.tau, k, er, pen, er + pen))
+    for bi, resid in profiles.items():
+        tau = grid.bases[bi].tau
+        for k in [k for k in grid.ranks if k <= min(d, tau)]:
+            er, pen = float(resid[k]), penalty(params, d, tau, k)
+            table.append(ScoreRow(bi, tau, k, er, pen, er + pen))
     if not table:
         raise ValueError("no feasible (basis, rank) pair on the grid")
     winner = min(table, key=lambda r: (r.score, r.k, r.tau))

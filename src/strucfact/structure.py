@@ -21,19 +21,47 @@ materialises L on demand.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .linalg import as_matrix
 
+KINDS = ("identity", "periodic", "trig")
+
 
 @dataclass(frozen=True)
 class StructureBasis:
-    kind: str              # "identity" | "periodic" | "trig"
+    kind: str              # one of KINDS
     tau: int
     horizon: int
-    gram_constant: float
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {KINDS}")
+        if self.horizon < 2:
+            raise ValueError("horizon must be at least 2")
+        if self.tau < 1:
+            raise ValueError("n_freq must be nonnegative" if self.kind == "trig"
+                             else "tau must be positive")
+        if self.kind == "identity" and self.tau != self.horizon:
+            raise ValueError(f"identity basis needs tau = horizon = {self.horizon}, "
+                             f"got tau = {self.tau}")
+        if self.kind == "periodic" and self.horizon % self.tau != 0:
+            raise ValueError(
+                f"horizon {self.horizon} must be divisible by tau {self.tau} "
+                "(periodic structure requires T = p * tau)")
+        if self.kind == "trig" and self.tau % 2 == 0:
+            raise ValueError(f"trig tau = 2 n_freq + 1 must be odd, got {self.tau}")
+        if self.kind == "trig" and self.tau > self.horizon:
+            raise ValueError(
+                f"2 * n_freq = {self.tau - 1} must be < horizon = {self.horizon} "
+                "(discrete orthogonality breaks otherwise)")
+
+    @property
+    def gram_constant(self) -> float:
+        """c in L L^T = c I: T for trig, T / tau otherwise (1.0 for identity)."""
+        return float(self.horizon) if self.kind == "trig" else self.horizon / self.tau
 
     @property
     def period(self) -> int:
@@ -47,28 +75,17 @@ class StructureBasis:
 
     def descriptor(self) -> dict:
         """Serializable identification of the basis (never the raw matrix)."""
-        return {"kind": self.kind, "tau": self.tau, "horizon": self.horizon}
+        return asdict(self)
 
 
 def build_identity(horizon: int) -> StructureBasis:
     """Unstructured basis: tau = T, L = I_T."""
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    return StructureBasis("identity", horizon, horizon, 1.0)
+    return StructureBasis("identity", horizon, horizon)
 
 
 def build_periodic(tau: int, horizon: int) -> StructureBasis:
     """Periodic basis: horizon must be a multiple of tau; c = horizon / tau."""
-    if tau < 1:
-        raise ValueError("tau must be positive")
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    if horizon % tau != 0:
-        raise ValueError(
-            f"horizon {horizon} must be divisible by tau {tau} "
-            "(periodic structure requires T = p * tau)"
-        )
-    return StructureBasis("periodic", tau, horizon, horizon / tau)
+    return StructureBasis("periodic", tau, horizon)
 
 
 def build_trig(n_freq: int, horizon: int) -> StructureBasis:
@@ -76,16 +93,7 @@ def build_trig(n_freq: int, horizon: int) -> StructureBasis:
 
     Discrete orthogonality L L^T = T I holds exactly when 2 * n_freq < T.
     """
-    if n_freq < 0:
-        raise ValueError("n_freq must be nonnegative")
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    if 2 * n_freq >= horizon:
-        raise ValueError(
-            f"2 * n_freq = {2 * n_freq} must be < horizon = {horizon} "
-            "(discrete orthogonality breaks otherwise)"
-        )
-    return StructureBasis("trig", 2 * n_freq + 1, horizon, float(horizon))
+    return StructureBasis("trig", 2 * n_freq + 1, horizon)
 
 
 @functools.lru_cache(maxsize=8)

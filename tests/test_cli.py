@@ -825,3 +825,73 @@ def test_fuzzed_config_keeps_exit_contract(tmp_path_factory, name):
         assert code == 0 or not out.exists()
 
     check()
+
+
+# ---------- numeric failures and empty inputs, as a child process ----------
+
+def run_child(tmp_path, command, cfg, threads=1):
+    """Run a command as a separate process, so that a numpy warning would
+    reach its stderr; returns (exit code, stderr lines, out)."""
+    cfg_path = tmp_path / f"{command}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "strucfact.cli", command, "--config",
+         str(cfg_path), "--out", str(out), "--threads", str(threads)],
+        env=_package_env(), capture_output=True, text=True)
+    return result.returncode, result.stderr.splitlines(), out
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("fit", {"k": 1, "basis": {"kind": "periodic", "tau": 2}}),
+    ("fit", {"k": 1, "basis": {"kind": "trig", "n_freq": 2}}),
+    ("fit", {"k": 1, "basis": {"kind": "identity"}}),
+    ("select", {"taus": [2, 4], "ranks": [1], "penalty": {}}),
+])
+def test_overflowing_projection_exits_3_with_one_line(tmp_path, command, cfg):
+    # Finite entries whose projection or Gram scaling overflows.
+    write_matrix(tmp_path / "X.csv", np.full((3, 8), 1.5e308))
+    code, lines, out = run_child(tmp_path, command,
+                                 dict(cfg, x=str(tmp_path / "X.csv")))
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overflow_in_a_pool_thread_exits_3_with_one_line(tmp_path, threads):
+    cfg = {"scenario": "smooth", "d": 10, "k": 2, "T": 128,
+           "smooth": {"beta": 2, "ell": 1e308, "n_terms": 16},
+           "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5},
+           "replications": 4, "seed": 1}
+    code, lines, out = run_child(tmp_path, "rate-check", cfg, threads=threads)
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_csv_without_entries_is_a_config_error_naming_it(tmp_path, command,
+                                                         content):
+    x = tmp_path / "X.csv"
+    x.write_text(content)
+    code, lines, out = run_child(tmp_path, command,
+                                 dict(command_cfg(command), x=str(x)))
+    assert code == 2
+    assert lines == [f"config error: {x} holds no matrix entries"], lines
+    assert not out.exists()
+
+
+def test_loglog_slope_is_the_closed_form_ols():
+    rates = np.array([1e-3, 4e-3, 2e-2, 5e-2, 0.3])
+    means = np.array([2.1e-3, 5e-3, 4.4e-2, 0.09, 0.8])
+    lx, ly = np.log(rates), np.log(means)
+    sxx = np.sum((lx - lx.mean()) ** 2)
+    slope = np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx
+    intercept = ly.mean() - slope * lx.mean()
+    resid = ly - (intercept + slope * lx)
+    stderr = np.sqrt(np.sum(resid ** 2) / (len(lx) - 2) / sxx)
+    got = cli._loglog_slope(list(rates), means)
+    assert all(type(v) is float for v in got)
+    np.testing.assert_allclose(got, [slope, intercept, stderr], rtol=1e-10)

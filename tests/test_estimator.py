@@ -164,3 +164,15 @@ class TestRisks:
                      + np.linalg.norm(eps, "fro")) ** 2
             assert abs(big_r - small_r + np.sum(eps ** 2) - 2 * inner) \
                 <= 1e-8 * scale
+
+
+class TestFitDelegatesItsChecks:
+    def test_rank_error_is_top_ks(self):
+        with pytest.raises(ValueError, match=r"rank k=4 out of range \[1, 3\]"):
+            fit(np.zeros((3, 8)), build_periodic(4, 8), 4)
+
+    def test_non_finite_input_is_rejected_by_project(self):
+        x = np.zeros((3, 8))
+        x[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit(x, build_periodic(4, 8), 1)

@@ -223,3 +223,16 @@ class TestAr1Sampler:
         got = sample_noise(NoiseSpec("ar1", sigma, rho=rho), d, horizon, seed)
         assert got.shape == (d, horizon)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestIidIsMa1ThetaZero:
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 1000])
+    @pytest.mark.parametrize("sigma", [0.3, 2.0, 1e150])
+    def test_iid_op_norm_equals_ma1_theta_zero_exactly(self, sigma, horizon):
+        iid = sigma_op_norm(NoiseSpec("iid", sigma), horizon)
+        assert iid == sigma_op_norm(NoiseSpec("ma1", sigma, theta=0.0), horizon)
+        assert iid.op_norm == iid.bound == float(sigma) ** 2 and iid.exact
+
+    def test_iid_ignores_a_stray_theta(self):
+        assert sigma_op_norm(NoiseSpec("iid", 0.7, theta=0.9), 12) \
+            == sigma_op_norm(NoiseSpec("iid", 0.7), 12)

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from strucfact import (build_identity, build_periodic, build_trig, expand,
-                       project)
+from strucfact import (StructureBasis, build_identity, build_periodic,
+                       build_trig, expand, project)
 
 ALL_BASES = [
     build_identity(4),
@@ -185,3 +186,41 @@ class TestOperatorsMatchDense:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestBasisIsItsThreeFields:
+    def test_fields_and_derived_gram_constant(self):
+        b = StructureBasis("periodic", 4, 12)
+        assert [f.name for f in dataclasses.fields(b)] == ["kind", "tau", "horizon"]
+        assert b.gram_constant == 3.0
+        assert b.descriptor() == {"kind": "periodic", "tau": 4, "horizon": 12}
+        assert StructureBasis("identity", 7, 7).gram_constant == 1.0
+        assert StructureBasis("trig", 5, 12).gram_constant == 12.0
+
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_direct_construction_equals_the_builder(self, basis):
+        direct = StructureBasis(basis.kind, basis.tau, basis.horizon)
+        assert direct == basis
+        a = np.random.default_rng(0).standard_normal((3, basis.tau))
+        np.testing.assert_allclose(project(expand(a, direct), direct), a,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("args, match", [
+        (("fourier", 5, 10), "unknown basis kind 'fourier'"),
+        (("trig", 4, 12), "must be odd"),
+        (("identity", 4, 12), "tau = horizon"),
+    ])
+    def test_rejects_an_inconsistent_basis(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            StructureBasis(*args)
+
+    @pytest.mark.parametrize("build, args, match", [
+        (build_identity, (1,), "horizon must be at least 2"),
+        (build_periodic, (0, 6), "tau must be positive"),
+        (build_periodic, (3, 7), "divisible by tau 3"),
+        (build_trig, (-1, 8), "n_freq must be nonnegative"),
+        (build_trig, (4, 8), "2 \\* n_freq = 8 must be < horizon = 8"),
+    ])
+    def test_builders_keep_their_messages(self, build, args, match):
+        with pytest.raises(ValueError, match=match):
+            build(*args)
