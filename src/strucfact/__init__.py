@@ -7,10 +7,9 @@ smooth factor generation on Sobolev ellipsoids, and penalized selection of
 """
 from .errors import ConvergenceError
 from .estimator import FactorModel, empirical_risk, fit, predict, risk
-from .linalg import SvdResult, svd, truncate_rank
+from .linalg import SvdResult, svd
 from .noise import (CovarianceSummary, NoiseSpec, covariance_matrix,
-                    projected_noise_norm_bound, replication_seed, sample_noise,
-                    sigma_op_norm)
+                    replication_seed, sample_noise, sigma_op_norm)
 from .select import (CandidateGrid, PenaltyParams, SelectionResult,
                      calibrate_noise_level, penalty, select)
 from .sobolev import (SmoothFactorSpec, bias_of_truncation,
@@ -21,10 +20,9 @@ from .structure import (StructureBasis, build_identity, build_periodic,
 __all__ = [
     "ConvergenceError",
     "FactorModel", "empirical_risk", "fit", "predict", "risk",
-    "SvdResult", "svd", "truncate_rank",
+    "SvdResult", "svd",
     "CovarianceSummary", "NoiseSpec", "covariance_matrix",
-    "projected_noise_norm_bound", "replication_seed", "sample_noise",
-    "sigma_op_norm",
+    "replication_seed", "sample_noise", "sigma_op_norm",
     "CandidateGrid", "PenaltyParams", "SelectionResult",
     "calibrate_noise_level", "penalty", "select",
     "SmoothFactorSpec", "bias_of_truncation", "gen_smooth_dictionary",

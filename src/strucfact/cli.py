@@ -171,10 +171,14 @@ def _tiles(m: np.ndarray, period: int) -> tuple[np.ndarray, int]:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    """The CSV matrix at `path`; a file without entries is a ValueError."""
+    """The CSV matrix at `path`; a malformed file or one without entries is a
+    ValueError that names `path`."""
     with warnings.catch_warnings():  # numpy warns on a file without data
         warnings.simplefilter("ignore", UserWarning)
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            m = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if m.size == 0:
         raise ValueError(f"{path} holds no matrix entries")
     return m

@@ -3,9 +3,9 @@
 Fitting projects the observation through the basis, takes the rank-k
 truncated SVD of the projection (the exact minimizer of the squared
 Frobenius distance over rank <= k matrices), and splits it into balanced
-factors U (d x k) and V (k x tau).  Only the top k singular triplets are
-computed, by `linalg.top_k`: a Gram-matrix eigensolve on the shorter side of
-the d x tau projection plus one thin SVD of a k-column matrix.
+factors U (d x k) and V (k x tau), which are all a fit stores.  Only the top
+k singular triplets are computed, by `linalg.top_k`: a Gram eigensolve on the
+shorter side of the d x tau projection plus one thin SVD of a k-column matrix.
 """
 from __future__ import annotations
 
@@ -23,19 +23,20 @@ class FactorModel:
     u: np.ndarray            # d x k
     v: np.ndarray            # k x tau
     basis: StructureBasis
-    m_tilde_hat: np.ndarray  # d x tau, = u @ v
     rank: int                # numerical rank, min(k, rank of the projection)
+
+    @property
+    def m_tilde_hat(self) -> np.ndarray:
+        """d x tau coefficient estimate u @ v, the rank-k truncated SVD."""
+        return self.u @ self.v
 
 
 def fit(x, basis: StructureBasis, k: int) -> FactorModel:
     """Fit a rank-k factor model to a d x T observation matrix; `project`
     validates x and `linalg.top_k` checks 1 <= k <= min(d, tau)."""
     s = linalg.top_k(project(x, basis), k)
-    m_tilde_hat = linalg.truncate_rank(s, k)
     root = np.sqrt(s.singular_values)
-    u = s.left * root
-    v = (s.right * root).T
-    return FactorModel(u=u, v=v, basis=basis, m_tilde_hat=m_tilde_hat,
+    return FactorModel(u=s.left * root, v=(s.right * root).T, basis=basis,
                        rank=s.rank)
 
 

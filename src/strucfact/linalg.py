@@ -1,4 +1,4 @@
-"""Dense real matrix kernels: validation, SVD, top-k SVD, rank truncation.
+"""Dense real matrix kernels: validation, SVD and top-k SVD.
 
 `svd` is the full thin SVD (LAPACK gesdd).  `top_k` returns only the k
 largest singular triplets, from an eigensolve of the Gram matrix of the
@@ -102,11 +102,3 @@ def top_k(a, k: int) -> SvdResult:
     if wide:
         return SvdResult(left=rotated, singular_values=s, right=ritz.left)
     return SvdResult(left=ritz.left, singular_values=s, right=rotated)
-
-
-def truncate_rank(s: SvdResult, k: int) -> np.ndarray:
-    """Best rank-k approximation sum_{i<=k} sigma_i u_i v_i^T (Eckart-Young)."""
-    r = s.singular_values.shape[0]
-    if not 1 <= k <= r:
-        raise ValueError(f"rank k={k} out of range [1, {r}]")
-    return (s.left[:, :k] * s.singular_values[:k]) @ s.right[:, :k].T

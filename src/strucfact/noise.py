@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import StructureBasis
-
 KINDS = ("iid", "ma1", "ar1")
 
 
@@ -128,11 +126,12 @@ def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:
 def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
     """Operator norm of the row covariance plus its closed-form upper bound.
 
-    iid and MA(1) values are analytic (MA(1) via the tridiagonal-Toeplitz
-    eigenvalues sigma^2 (1 + theta^2 - 2 theta cos(l pi / (T+1)))).  The
-    AR(1) norm is the top Kac-Murdock-Szego eigenvalue (Kac, Murdock & Szego
-    1953), found by bisection on its scalar root equation in O(1) time in T,
-    with no power iteration; it is reported as exact=False against the bound
+    iid and MA(1) values are analytic: the tridiagonal-Toeplitz eigenvalues
+    sigma^2 (1 + theta^2 - 2 theta cos(l pi / (T+1))), l = 1..T, peak at
+    l = 1 for theta < 0 and at l = T for theta > 0.  The AR(1) norm is the
+    top Kac-Murdock-Szego eigenvalue (Kac, Murdock & Szego 1953), found by
+    bisection on its scalar root equation in O(1) time in T, with no power
+    iteration; it is reported as exact=False against the bound
     sigma^2 (1 + |rho|) / (1 - |rho|).
     """
     if horizon < 1:
@@ -140,10 +139,9 @@ def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
     s2 = _variance(spec)
     if spec.kind != "ar1":  # iid is MA(1) with theta = 0
         th = spec.theta if spec.kind == "ma1" else 0.0
-        ell = np.arange(1, horizon + 1)
-        eigs = s2 * (1.0 + th ** 2 - 2.0 * th * np.cos(ell * np.pi / (horizon + 1)))
+        top = 1.0 + th ** 2 + 2.0 * abs(th) * math.cos(math.pi / (horizon + 1))
         return CovarianceSummary(
-            op_norm=float(eigs.max()),
+            op_norm=s2 * top,
             bound=s2 * (1.0 + abs(th)) ** 2,
             exact=True,
         )
@@ -182,13 +180,3 @@ def _kms_top_eigenvalue(r: float, horizon: int) -> float:
             hi = mid
         mid = (lo + hi) / 2
     return (1.0 - r) * (1.0 + r) / (gap + 4.0 * r * math.sin(mid / 2) ** 2)
-
-
-def projected_noise_norm_bound(spec: NoiseSpec, basis: StructureBasis) -> float:
-    """Upper bound on the projected-noise covariance operator norm.
-
-    Projection through the pseudo-inverse L^T / c contracts the covariance
-    operator norm by exactly 1 / c when L L^T = c I.
-    """
-    summary = sigma_op_norm(spec, basis.horizon)
-    return summary.op_norm / basis.gram_constant

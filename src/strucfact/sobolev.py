@@ -12,7 +12,9 @@ whose coefficients satisfy the ellipsoid condition
 Coefficients are drawn as centered Gaussians with standard deviation
 proportional to n^{-beta - 1/2} and then rescaled onto the ellipsoid at a
 uniformly drawn radius fraction, so the expected energy beyond frequency N
-decays like N^{-2 beta}.
+decays like N^{-2 beta}.  They are drawn straight into the trig basis layout
+[a_0, a_1, b_1, a_2, b_2, ...], so a dictionary is their `expand` through
+`build_trig`.
 """
 from __future__ import annotations
 
@@ -42,37 +44,28 @@ class SmoothFactorSpec:
             raise ValueError("n_terms must be nonnegative")
 
 
-def gen_smooth_coefficients(spec: SmoothFactorSpec, seed: int):
-    """Draw ellipsoid-constrained coefficients; returns (a0, a, b).
+def gen_smooth_coefficients(spec: SmoothFactorSpec, seed: int) -> np.ndarray:
+    """Draw ellipsoid-constrained coefficients in the trig basis layout.
 
-    a0 has shape (k,); a and b have shape (k, n_terms).  For every row,
+    Returns the k x (2 n_terms + 1) matrix [a0, a1, b1, a2, b2, ...], whose
+    columns follow the rows of `build_trig`.  For every row,
     sum_n (2 pi n)^{2 beta} (a_n^2 + b_n^2) = (u L)^2 with u ~ U(0, 1].
     """
     rng = np.random.default_rng(seed)
-    a0 = rng.standard_normal(spec.k)
+    coef = np.empty((spec.k, 2 * spec.n_terms + 1))
+    coef[:, 0] = rng.standard_normal(spec.k)
     if spec.n_terms == 0:
-        empty = np.zeros((spec.k, 0))
-        return a0, empty, empty
+        return coef
     n = np.arange(1, spec.n_terms + 1, dtype=float)
     scale = n ** (-spec.beta - 0.5)
-    a = rng.standard_normal((spec.k, spec.n_terms)) * scale
-    b = rng.standard_normal((spec.k, spec.n_terms)) * scale
+    a, b = coef[:, 1::2], coef[:, 2::2]
+    a[:] = rng.standard_normal((spec.k, spec.n_terms)) * scale
+    b[:] = rng.standard_normal((spec.k, spec.n_terms)) * scale
     weight = (2.0 * np.pi * n) ** (2 * spec.beta)
     energy = np.sum(weight * (a ** 2 + b ** 2), axis=1)
     u = 1.0 - rng.uniform(size=spec.k)  # in (0, 1]
-    factor = u * spec.ell / np.sqrt(energy)
-    return a0, a * factor[:, None], b * factor[:, None]
-
-
-def evaluate_rows(a0, a, b, horizon: int) -> np.ndarray:
-    """Evaluate the trigonometric polynomials at x = t / horizon, t = 1..horizon."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    coef = np.empty((a.shape[0], 2 * a.shape[1] + 1))  # [a0, a1, b1, a2, b2, ...]
-    coef[:, 0] = a0
-    coef[:, 1::2] = a
-    coef[:, 2::2] = b
-    return expand(coef, build_trig(a.shape[1], horizon))
+    coef[:, 1:] *= (u * spec.ell / np.sqrt(energy))[:, None]
+    return coef
 
 
 def gen_smooth_dictionary(spec: SmoothFactorSpec, horizon: int, seed: int) -> np.ndarray:
@@ -82,8 +75,8 @@ def gen_smooth_dictionary(spec: SmoothFactorSpec, horizon: int, seed: int) -> np
             f"horizon {horizon} too small for n_terms={spec.n_terms}; "
             f"need at least {2 * spec.n_terms + 2}"
         )
-    a0, a, b = gen_smooth_coefficients(spec, seed)
-    return evaluate_rows(a0, a, b, horizon)
+    coef = gen_smooth_coefficients(spec, seed)
+    return expand(coef, build_trig(spec.n_terms, horizon))
 
 
 def bias_of_truncation(w, basis: StructureBasis) -> float:

@@ -883,6 +883,21 @@ def test_csv_without_entries_is_a_config_error_naming_it(tmp_path, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n"],
+                         ids=["bad-value", "ragged"])
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_malformed_csv_is_a_config_error_naming_it(tmp_path, capsys, command,
+                                                   content):
+    x = tmp_path / "X.csv"
+    x.write_text(content)
+    code, out = run(tmp_path, command, dict(command_cfg(command), x=str(x)),
+                    "malformed")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {x}: ") and err.count("\n") == 1, err
+
+
 def test_loglog_slope_is_the_closed_form_ols():
     rates = np.array([1e-3, 4e-3, 2e-2, 5e-2, 0.3])
     means = np.array([2.1e-3, 5e-3, 4.4e-2, 0.09, 0.8])

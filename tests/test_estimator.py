@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,30 @@ class TestFit:
         risks = [empirical_risk(predict(fit(x, basis, k)), x)
                  for k in range(1, 7)]
         assert np.all(np.diff(risks) <= 1e-10)
+
+
+class TestFactorModel:
+    BASES = [build_identity(10), build_periodic(5, 15), build_trig(3, 16)]
+
+    def test_fields_are_the_factors(self):
+        model = fit(np.eye(4, 10), build_identity(10), 2)
+        assert [f.name for f in dataclasses.fields(model)] == [
+            "u", "v", "basis", "rank"]
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_m_tilde_hat_is_the_factor_product(self, basis):
+        x = np.random.default_rng(6).standard_normal((7, basis.horizon))
+        model = fit(x, basis, 3)
+        np.testing.assert_array_equal(model.m_tilde_hat, model.u @ model.v)
+        with pytest.raises(AttributeError):
+            model.m_tilde_hat = np.zeros((7, basis.tau))
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_predict_expands_the_factor_product(self, basis):
+        x = np.random.default_rng(7).standard_normal((7, basis.horizon))
+        model = fit(x, basis, 3)
+        np.testing.assert_array_equal(predict(model),
+                                      expand(model.u @ model.v, basis))
 
 
 class TestPredict:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strucfact import linalg, svd, truncate_rank
+from strucfact import linalg, svd
 from strucfact.linalg import operator_norm_safe, top_k
 
 WIDE_AND_TALL = [(6, 40), (40, 6)]
@@ -112,41 +112,9 @@ class TestSvd:
         assert np.all(s.singular_values >= 0)
 
 
-class TestTruncateRank:
-    def test_full_rank_reconstructs(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 6))
-        s = svd(a)
-        recon = truncate_rank(s, len(s.singular_values))
-        assert np.linalg.norm(recon - a, "fro") < 1e-9 * np.linalg.norm(a, "fro")
-
-    def test_rank_one_input_exact(self):
-        a = np.outer([1.0, 2.0], [3.0, -1.0, 0.5])
-        recon = truncate_rank(svd(a), 1)
-        np.testing.assert_allclose(recon, a, atol=1e-12)
-
-    def test_k_out_of_range(self):
-        s = svd(np.eye(3))
-        with pytest.raises(ValueError):
-            truncate_rank(s, 0)
-        with pytest.raises(ValueError):
-            truncate_rank(s, 4)
-
-    def test_rank_bound(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((6, 6))
-        assert svd(truncate_rank(svd(a), 2)).rank <= 2
-
-    def test_dominates_random_rank_2_candidates(self):
-        rng = np.random.default_rng(99)
-        a = rng.standard_normal((6, 6))
-        best = truncate_rank(svd(a), 2)
-        err = np.linalg.norm(a - best, "fro")
-        for _ in range(1000):
-            cand = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 6))
-            # optimal scalar rescale keeps the candidate rank-2 but fairer
-            alpha = np.sum(a * cand) / max(np.sum(cand * cand), 1e-300)
-            assert err <= np.linalg.norm(a - alpha * cand, "fro") + 1e-12
+def rank_k_product(s, k):
+    """sum_{i<=k} sigma_i u_i v_i^T from an SvdResult's leading triplets."""
+    return (s.left[:, :k] * s.singular_values[:k]) @ s.right[:, :k].T
 
 
 def gapped(shape, seed):
@@ -167,7 +135,8 @@ class TestTopK:
         full, top = svd(a), top_k(a, k)
         np.testing.assert_allclose(top.singular_values,
                                    full.singular_values[:k], rtol=1e-13)
-        np.testing.assert_allclose(truncate_rank(top, k), truncate_rank(full, k),
+        np.testing.assert_allclose(rank_k_product(top, k),
+                                   rank_k_product(full, k),
                                    rtol=0, atol=1e-14)
         assert top.left.shape == (shape[0], k)
         assert top.right.shape == (shape[1], k)
@@ -187,7 +156,7 @@ class TestTopK:
         top = top_k(np.zeros(shape), 2)
         assert top.rank == 0
         np.testing.assert_array_equal(top.singular_values, 0.0)
-        np.testing.assert_array_equal(truncate_rank(top, 2), 0.0)
+        np.testing.assert_array_equal(rank_k_product(top, 2), 0.0)
 
     def test_huge_entries_give_finite_factors(self, shape):
         a = 1e200 * np.random.default_rng(5).standard_normal(shape)

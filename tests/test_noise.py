@@ -1,11 +1,12 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from strucfact import (NoiseSpec, build_identity, build_periodic, build_trig,
-                       covariance_matrix, projected_noise_norm_bound,
-                       replication_seed, sample_noise, sigma_op_norm)
+                       covariance_matrix, replication_seed, sample_noise,
+                       sigma_op_norm)
 
 SPECS = [
     NoiseSpec("iid", sigma=1.0),
@@ -138,22 +139,6 @@ class TestSigmaOpNorm:
 
 
 class TestProjectedNoiseBound:
-    def test_identity_basis(self):
-        spec = NoiseSpec("ma1", 1.0, theta=0.4)
-        basis = build_identity(12)
-        assert projected_noise_norm_bound(spec, basis) == pytest.approx(
-            sigma_op_norm(spec, 12).op_norm)
-
-    def test_periodic_iid(self):
-        basis = build_periodic(2, 8)
-        assert projected_noise_norm_bound(NoiseSpec("iid", 1.0), basis) \
-            == pytest.approx(0.25)
-
-    def test_trig_iid(self):
-        basis = build_trig(2, 16)
-        assert projected_noise_norm_bound(NoiseSpec("iid", 1.0), basis) \
-            == pytest.approx(1.0 / 16.0)
-
     @pytest.mark.parametrize("basis", [
         build_identity(12), build_periodic(3, 12), build_trig(2, 12)])
     @pytest.mark.parametrize("spec", [
@@ -165,7 +150,9 @@ class TestProjectedNoiseBound:
         proj = eps @ basis.rows.T / basis.gram_constant
         emp_cov = proj.T @ proj / proj.shape[0]
         emp_op = np.linalg.eigvalsh(emp_cov)[-1]
-        assert emp_op <= projected_noise_norm_bound(spec, basis) * 1.1
+        # L^T / c contracts the covariance operator norm by 1 / c.
+        bound = sigma_op_norm(spec, basis.horizon).op_norm / basis.gram_constant
+        assert emp_op <= bound * 1.1
 
 
 class TestNoiseSpecValues:
@@ -205,6 +192,26 @@ class TestAr1OpNormClosedForm:
         assert elapsed < 0.05
         assert summary.op_norm <= summary.bound
         assert summary.op_norm == pytest.approx(summary.bound, rel=1e-5)
+
+
+class TestMa1OpNormClosedForm:
+    @pytest.mark.parametrize("theta", [0.5, -0.5, 1.0, -1.0, 2.5, -2.5])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 250, 1024])
+    def test_matches_dense_eigvalsh(self, theta, horizon):
+        spec = NoiseSpec("ma1", sigma=1.5, theta=theta)
+        oracle = np.linalg.eigvalsh(covariance_matrix(spec, horizon))[-1]
+        assert sigma_op_norm(spec, horizon).op_norm == pytest.approx(oracle, rel=1e-12)
+
+    def test_long_horizon_allocates_no_arrays(self):
+        spec = NoiseSpec("ma1", sigma=1.0, theta=0.6)
+        sigma_op_norm(spec, 100)  # warm-up
+        tracemalloc.start()
+        try:
+            sigma_op_norm(spec, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestAr1Sampler:

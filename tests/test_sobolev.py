@@ -3,7 +3,7 @@ import pytest
 
 from strucfact import (SmoothFactorSpec, bias_of_truncation, build_periodic,
                        build_trig, gen_smooth_dictionary, optimal_cutoff)
-from strucfact.sobolev import evaluate_rows, gen_smooth_coefficients
+from strucfact.sobolev import gen_smooth_coefficients
 
 
 def mean_bias(beta, n_grid, seeds, k=8, n_terms=96, horizon=512, ell=1.0):
@@ -21,7 +21,9 @@ class TestGeneration:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_coefficients_on_ellipsoid(self, beta, seed):
         spec = SmoothFactorSpec(k=4, beta=beta, ell=2.5, n_terms=32)
-        _, a, b = gen_smooth_coefficients(spec, seed)
+        coef = gen_smooth_coefficients(spec, seed)
+        assert coef.shape == (4, 65)
+        a, b = coef[:, 1::2], coef[:, 2::2]
         n = np.arange(1, 33)
         energy = np.sum((2 * np.pi * n) ** (2 * beta) * (a ** 2 + b ** 2), axis=1)
         assert np.all(energy <= spec.ell ** 2 * (1 + 1e-9))
@@ -115,17 +117,19 @@ class TestOptimalCutoff:
 
 
 class TestEvaluateRows:
+    """A smooth dictionary equals its trig polynomials summed term by term."""
+
     @pytest.mark.parametrize("n_terms, horizon", [(96, 1024), (7, 30), (0, 10)])
     def test_matches_reference_loop(self, n_terms, horizon):
         spec = SmoothFactorSpec(k=3, beta=2, ell=5.0, n_terms=n_terms)
-        a0, a, b = gen_smooth_coefficients(spec, seed=4)
+        coef = gen_smooth_coefficients(spec, seed=4)
         x = np.arange(1, horizon + 1) / horizon
-        ref = np.tile(a0[:, None], (1, horizon))
+        ref = np.tile(coef[:, :1], (1, horizon))
         for n in range(1, n_terms + 1):
             phase = 2.0 * np.pi * n * x
-            ref += np.sqrt(2.0) * (a[:, n - 1][:, None] * np.cos(phase)
-                                   + b[:, n - 1][:, None] * np.sin(phase))
+            ref += np.sqrt(2.0) * (coef[:, 2 * n - 1][:, None] * np.cos(phase)
+                                   + coef[:, 2 * n][:, None] * np.sin(phase))
         for _ in range(2):  # the second call reads the cached table
-            w = evaluate_rows(a0, a, b, horizon)
+            w = gen_smooth_dictionary(spec, horizon, seed=4)
             assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert w.flags.writeable
