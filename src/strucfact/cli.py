@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -342,12 +343,44 @@ def _one_replication(scenario, d, k, spec, seed, tau, smooth, point, idx):
         return estimator.risk(estimator.predict(model), m)
 
 
+@functools.cache
+def _bundled_openblas():
+    """(get, set) of the thread count of the OpenBLAS shipped in numpy's wheel,
+    or None where there is none (another BLAS, or a system OpenBLAS)."""
+    root = Path(np.__file__).parent
+    for lib in [*root.parent.glob("numpy.libs/*openblas*"),
+                *root.glob(".dylibs/*openblas*")]:
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            try:
+                dll = ctypes.CDLL(str(lib))
+                return (getattr(dll, f"{prefix}get_num_threads{suffix}"),
+                        getattr(dll, f"{prefix}set_num_threads{suffix}"))
+            except (OSError, AttributeError):
+                pass
+    return None
+
+
 def _mean_risks(replicate, points, replications, threads):
     """Run replicate(point i, i * replications + r) for every point i and
-    replication r on one pool; return the mean and std risk per point."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        tasks = [pool.submit(replicate, point, i * replications + r)
-                 for i, point in enumerate(points) for r in range(replications)]
+    replication r on one pool; return the mean and std risk per point.
+
+    While the pool runs, each pool thread gets 1/threads of numpy's bundled
+    OpenBLAS threads, so pool and BLAS threads do not oversubscribe the cores.
+    """
+    blas = _bundled_openblas()
+    old = blas[0]() if blas else 1
+    share = max(1, old // threads)
+    if share != old:
+        blas[1](share)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            tasks = [pool.submit(replicate, point, i * replications + r)
+                     for i, point in enumerate(points)
+                     for r in range(replications)]
+    finally:
+        if share != old:
+            blas[1](old)
     # Read after the pool joins: waiting on each task in turn wakes this thread
     # per task (~1000 context switches per smooth workload run on 2 cores).
     results = np.reshape([t.result() for t in tasks], (len(points), replications))
@@ -449,9 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for rate-check replications; they "
-                            "multiply with BLAS threads, so pair --threads > 1 "
-                            "with OPENBLAS_NUM_THREADS=1 (results are identical "
-                            "at every thread count)")
+                            "share numpy's bundled OpenBLAS threads (results "
+                            "are identical at every thread count)")
     return parser
 
 

@@ -383,13 +383,23 @@ class TestRateCheck:
                 "replications"} <= set(report["points"][0])
         assert "slope" in report and "slope_stderr" in report
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_threads_do_not_change_result(self, tmp_path, threads):
-        # d = 8 < T: every fit takes the Gram path of linalg.top_k.
-        _, out1 = run(tmp_path, "rate-check", self.small_cfg(), "rate1",
-                      threads=1)
-        _, out2 = run(tmp_path, "rate-check", self.small_cfg(), "rate_n",
-                      threads=threads)
+    @pytest.mark.parametrize("scenario, threads", [
+        *[pytest.param("unstructured", t, id=str(t)) for t in (1, 2, 4)],
+        *[pytest.param(s, t, id=f"{s}-{t}")
+          for s in ("periodic", "smooth-ar1") for t in (2, 4)],
+    ])
+    def test_threads_do_not_change_result(self, tmp_path, scenario, threads):
+        # d = 8 < T: every unstructured fit takes the Gram path of linalg.top_k.
+        cfg = {"unstructured": self.small_cfg(),
+               "periodic": dict(self.small_cfg(), scenario="periodic", tau=4),
+               "smooth-ar1": {**SMOOTH_RATE_CFG,
+                              "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16},
+                              "noise": {"kind": "ar1", "sigma": 0.5,
+                                        "rho": 0.5}}}[scenario]
+        code1, out1 = run(tmp_path, "rate-check", cfg, "rate1", threads=1)
+        code_n, out2 = run(tmp_path, "rate-check", cfg, "rate_n",
+                           threads=threads)
+        assert code1 == code_n == 0
         assert dir_hash(out1) == dir_hash(out2)
 
     def test_too_few_sweep_points_rejected(self, tmp_path):
@@ -858,16 +868,85 @@ def test_overflowing_projection_exits_3_with_one_line(tmp_path, command, cfg):
     assert not out.exists()
 
 
+# Smooth factors so large that every replication overflows in its pool thread.
+OVERFLOW_RATE_CFG = {"scenario": "smooth", "d": 10, "k": 2, "T": 128,
+                     "smooth": {"beta": 2, "ell": 1e308, "n_terms": 16},
+                     "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5},
+                     "replications": 4, "seed": 1}
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_overflow_in_a_pool_thread_exits_3_with_one_line(tmp_path, threads):
-    cfg = {"scenario": "smooth", "d": 10, "k": 2, "T": 128,
-           "smooth": {"beta": 2, "ell": 1e308, "n_terms": 16},
-           "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5},
-           "replications": 4, "seed": 1}
-    code, lines, out = run_child(tmp_path, "rate-check", cfg, threads=threads)
+    code, lines, out = run_child(tmp_path, "rate-check", OVERFLOW_RATE_CFG,
+                                 threads=threads)
     assert code == 3
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
     assert not out.exists()
+
+
+class TestBlasThreadShare:
+    """While the rate-check pool runs, each of its `threads` pool threads gets
+    1/threads of numpy's bundled OpenBLAS threads; the count comes back after."""
+
+    START = 4  # a count that --threads 2 splits, whatever the core count
+
+    @pytest.fixture
+    def blas(self):
+        blas = cli._bundled_openblas()
+        if blas is None:
+            pytest.skip("numpy ships no OpenBLAS of its own here")
+        get, set_ = blas
+        default = get()
+        set_(self.START)
+        yield get
+        set_(default)
+
+    def test_pool_threads_share_the_count_and_it_comes_back(
+            self, tmp_path, monkeypatch, blas):
+        seen = []
+        replicate = cli._one_replication
+
+        def spy(*args):
+            seen.append(blas())
+            return replicate(*args)
+
+        monkeypatch.setattr(cli, "_one_replication", spy)
+        code, _ = run(tmp_path, "rate-check", TestRateCheck().small_cfg(),
+                      "rate", threads=2)
+        assert code == 0
+        assert len(seen) == 12 and set(seen) == {self.START // 2}
+        assert blas() == self.START
+
+    def test_count_comes_back_after_a_pool_thread_fails(self, tmp_path, blas):
+        code, _ = run(tmp_path, "rate-check", OVERFLOW_RATE_CFG, "rate",
+                      threads=2)
+        assert code == 3
+        assert blas() == self.START
+
+    def test_count_comes_back_when_the_pool_itself_fails(self, monkeypatch,
+                                                         blas):
+        # A replication's error surfaces after the pool joins; this one
+        # (no thread could start) leaves the pool block early.
+        class Broken(cli.ThreadPoolExecutor):
+            def submit(self, *args):
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Broken)
+        with pytest.raises(RuntimeError):
+            cli._mean_risks(None, [None], 1, 2)
+        assert blas() == self.START
+
+    # --threads 1, and a BLAS already at one thread (OPENBLAS_NUM_THREADS=1).
+    @pytest.mark.parametrize("threads, count", [(1, 4), (2, 1)])
+    def test_count_is_never_set_when_the_share_is_all_of_it(
+            self, tmp_path, monkeypatch, threads, count):
+        calls = []
+        monkeypatch.setattr(cli, "_bundled_openblas",
+                            lambda: (lambda: count, calls.append))
+        code, _ = run(tmp_path, "rate-check", TestRateCheck().small_cfg(),
+                      "rate", threads=threads)
+        assert code == 0
+        assert calls == []
 
 
 @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank"])
