@@ -9,6 +9,19 @@ publishes the output directory atomically.  The CSV writer formats each
 value once: a tiled matrix (a periodic signal, an identity or periodic fit)
 repeats its formatted period.
 
+rate-check replicates in the coefficient space of each point's basis L.
+Because L L^T = c I, a fit sees only the projection X L^T / c = B + E L^T / c
+of X = B L + E, and ||A L - B L||_F^2 = c ||A - B||_F^2.  A smooth truth is
+written over the wider of its own and the fit's trig basis, whose rows stay
+orthogonal because 2 max(n_terms, n_freq) < T.  So one replication draws the
+true coefficients B, adds the projected noise, fits it through
+build_identity(tau), and returns c ||A_hat - B||_F^2 / (d T), without ever
+forming a d x T signal.  For a trig basis the projected noise is the noise
+draws times W = filter_adjoint(spec, L)^T / c, built once per point (see the
+noise module).  An identity basis takes a noise sample as it is and a
+periodic basis projects one, which costs O(d T).
+The first replication to fail cancels those not yet started.
+
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
 from __future__ import annotations
@@ -23,14 +36,15 @@ import shutil
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
 
 from . import estimator, sobolev, structure
 from .errors import ConvergenceError
-from .noise import KINDS, NoiseSpec, replication_seed, sample_noise, sigma_op_norm
+from .noise import (KINDS, NoiseSpec, draw_noise, filter_adjoint, replication_seed,
+                    sample_noise, sigma_op_norm)
 from .select import CandidateGrid, PenaltyParams, select
 
 SCHEMA_VERSION = 1
@@ -143,6 +157,16 @@ def _needs(parsed: dict, keys, what: str) -> None:
         raise ConfigError(f"{what} needs {missing}")
 
 
+def _smooth_spec(p: dict, horizon: int, where: str) -> sobolev.SmoothFactorSpec:
+    """The parsed smooth section as a SmoothFactorSpec with p["k"] rows,
+    checked against the horizon: T >= 2 n_terms + 2."""
+    smooth = sobolev.SmoothFactorSpec(k=p["k"], **p["smooth"])
+    if horizon < 2 * smooth.n_terms + 2:
+        raise ConfigError(f"{where}: T={horizon} must be >= 2 n_terms + 2 "
+                          f"= {2 * smooth.n_terms + 2}")
+    return smooth
+
+
 def _noise_spec(noise: dict) -> NoiseSpec:
     """The parsed noise section as a NoiseSpec; its range checks name the section."""
     try:
@@ -227,24 +251,38 @@ def _json_text(payload: dict) -> str:
 
 # ---------- simulate ----------
 
+def _truth(scenario: str, d: int, k: int, seed: int, width: int,
+           smooth: sobolev.SmoothFactorSpec | None):
+    """Factors (U, V) of one ground truth M = U V L for the scenario's basis L.
+
+    V is a k x width Gaussian matrix for the unstructured (width T) and the
+    periodic (width tau) scenario.  For the smooth one, V holds the smooth
+    coefficients in the layout of build_trig(n_terms, T), and the rows of U
+    have norm 1.
+    """
+    rng = np.random.default_rng(seed)
+    if scenario == "smooth":
+        # Not `seed` itself, whose first draw is U's first row.
+        v = sobolev.gen_smooth_coefficients(smooth, replication_seed(seed, 0))
+        u = rng.standard_normal((d, k))
+        return u / np.linalg.norm(u, axis=1, keepdims=True), v
+    u = rng.standard_normal((d, k))
+    return u, rng.standard_normal((k, width))
+
+
 def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
                        tau: int | None = None,
                        smooth: sobolev.SmoothFactorSpec | None = None):
     """Ground-truth signal for one scenario; returns (M, U, V_rows, period),
     where the columns of M repeat every `period`."""
-    rng = np.random.default_rng(seed)
+    u, v = _truth(scenario, d, k, seed,
+                  tau if scenario == "periodic" else horizon, smooth)
     if scenario == "smooth":
-        # Not `seed` itself, whose first draw is U's first row.
-        w = sobolev.gen_smooth_dictionary(smooth, horizon, replication_seed(seed, 0))
-        u = rng.standard_normal((d, k))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)  # row norms = 1
+        w = structure.expand(v, structure.build_trig(smooth.n_terms, horizon))
         return u @ w, u, w, horizon
-    u = rng.standard_normal((d, k))
     if scenario == "periodic":
-        v = rng.standard_normal((k, tau))
         basis = structure.build_periodic(tau, horizon)
         return structure.expand(u @ v, basis), u, v, basis.period
-    v = rng.standard_normal((k, horizon))
     return u @ v, u, v, horizon
 
 
@@ -254,8 +292,7 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     _needs(p, SIMULATE_NEEDS[scenario], f"simulate: scenario {scenario!r}")
     spec = _noise_spec(p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
-    smooth = (sobolev.SmoothFactorSpec(k=k, **p["smooth"])
-              if scenario == "smooth" else None)
+    smooth = _smooth_spec(p, horizon, "simulate") if scenario == "smooth" else None
 
     m, u, v, period = _simulate_instance(scenario, d, horizon, k, seed,
                                          tau=p["tau"], smooth=smooth)
@@ -329,18 +366,62 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
 
 # ---------- rate-check ----------
 
-def _one_replication(scenario, d, k, spec, seed, tau, smooth, point, idx):
-    """simulate -> fit -> normalized risk of replication `idx` at (T, basis)."""
-    horizon, fit_basis = point
+def _rate_point(spec: NoiseSpec, basis: structure.StructureBasis):
+    """A rate-check point: (basis, W).  For a trig basis L, W is the map
+    filter_adjoint(spec, L)^T / c, (T + 1) x tau (T x tau for iid noise),
+    that takes noise draws straight to projected noise.  It is None for
+    identity and periodic bases, whose projection of a sample costs O(d T)."""
+    if basis.kind != "trig":
+        return basis, None
+    return basis, filter_adjoint(spec, basis.rows).T / basis.gram_constant
+
+
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    """`a` with zero columns appended up to `width` columns."""
+    if a.shape[1] == width:
+        return a
+    wide = np.zeros((a.shape[0], width))
+    wide[:, :a.shape[1]] = a
+    return wide
+
+
+def _one_replication(scenario, d, k, spec, seed, smooth, point, idx):
+    """simulate -> fit -> normalized risk of replication `idx` at one point,
+    all in the coefficient space of the point's basis (module docstring)."""
+    basis, noise_map = point
+    tau, horizon = basis.tau, basis.horizon
     sig_seed = replication_seed(seed, 2 * idx)
     eps_seed = replication_seed(seed, 2 * idx + 1)
     # A pool thread starts from numpy's default error state, not main's.
     with np.errstate(**FP_ERRORS):
-        m, *_ = _simulate_instance(scenario, d, horizon, k, sig_seed,
-                                   tau=tau, smooth=smooth)
-        x = m + sample_noise(spec, d, horizon, eps_seed)
-        model = estimator.fit(x, fit_basis, k)
-        return estimator.risk(estimator.predict(model), m)
+        u, v = _truth(scenario, d, k, sig_seed, tau, smooth)
+        # x_tilde starts as the projected noise E L^T / c, which is E itself
+        # for the identity basis.
+        if noise_map is None:
+            x_tilde = sample_noise(spec, d, horizon, eps_seed)
+            if basis.kind == "periodic":
+                x_tilde = structure.project(x_tilde, basis)
+        else:
+            # The start column of MA(1) and AR(1) draws is added apart, so the
+            # product has the shape of the projection x @ L^T.  With T + 1
+            # inner columns its bytes changed with OpenBLAS's thread count,
+            # and so with --threads (numpy 2.4.6, OpenBLAS 0.3.31, T = 1024,
+            # tau = 33).
+            draws = draw_noise(spec, d, horizon, eps_seed)
+            x_tilde = draws[:, -horizon:] @ noise_map[-horizon:]
+            if draws.shape[1] > horizon:
+                x_tilde += draws[:, :1] * noise_map[:1]
+        # Zero columns change no fit and no risk.  They widen the narrower of
+        # a smooth truth and its estimate, and tau = 1 to the two columns
+        # build_identity needs.
+        fit_width = max(tau, 2)
+        b = _widen(u @ v, max(v.shape[1], fit_width))
+        x_tilde += b[:, :tau]
+        model = estimator.fit(_widen(x_tilde, fit_width),
+                              structure.build_identity(fit_width), k)
+        a_hat = _widen(model.m_tilde_hat, b.shape[1])
+        return (basis.gram_constant * estimator.empirical_risk(a_hat, b)
+                / (d * horizon))
 
 
 @functools.cache
@@ -367,6 +448,8 @@ def _mean_risks(replicate, points, replications, threads):
 
     While the pool runs, each pool thread gets 1/threads of numpy's bundled
     OpenBLAS threads, so pool and BLAS threads do not oversubscribe the cores.
+    The first error cancels the tasks not yet started; the error raised is
+    that of the earliest-submitted task that failed.
     """
     blas = _bundled_openblas()
     old = blas[0]() if blas else 1
@@ -378,11 +461,17 @@ def _mean_risks(replicate, points, replications, threads):
             tasks = [pool.submit(replicate, point, i * replications + r)
                      for i, point in enumerate(points)
                      for r in range(replications)]
+            # One wake-up, at the first error or when all are done: waiting on
+            # each task in turn wakes this thread per task (~1000 context
+            # switches per smooth workload run on 2 cores).
+            wait(tasks, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
     finally:
         if share != old:
             blas[1](old)
-    # Read after the pool joins: waiting on each task in turn wakes this thread
-    # per task (~1000 context switches per smooth workload run on 2 cores).
+    for task in tasks:
+        if not task.cancelled() and task.exception() is not None:
+            raise task.exception()
     results = np.reshape([t.result() for t in tasks], (len(points), replications))
     return results.mean(axis=1), results.std(axis=1)
 
@@ -402,32 +491,29 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
     spec = _noise_spec(p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
 
-    # Points (T, fit basis): a sweep over T, or the smooth scenario's cutoff
+    # One fit basis per point: a sweep over T, or the smooth scenario's cutoff
     # grid {1, N*/2, N*, 2N*, 4N*} of trig bases (n_freq = tau // 2) at one T.
     smooth = None
     if scenario == "smooth":
-        smooth = sobolev.SmoothFactorSpec(k=k, **p["smooth"])
         horizon = p["T"]
-        if horizon < 2 * smooth.n_terms + 2:
-            raise ConfigError(f"rate-check: T={horizon} must be >= 2 n_terms + 2 "
-                              f"= {2 * smooth.n_terms + 2}")
+        smooth = _smooth_spec(p, horizon, "rate-check")
         n_star = sobolev.optimal_cutoff(smooth.beta, p["c_beta_l"], d, horizon,
                                         k, sigma_op_norm(spec, horizon).op_norm)
         grid = sorted({max(1, n) for n in
                        (1, n_star // 2, n_star, 2 * n_star, 4 * n_star)
                        if 2 * max(1, n) < horizon})
-        points = [(horizon, structure.build_trig(n, horizon)) for n in grid]
+        bases = [structure.build_trig(n, horizon) for n in grid]
     else:
         sweep = p["sweep_T"]
         if len(set(sweep)) < 4:
             raise ConfigError("rate-check: sweep_T needs at least 4 distinct "
                               f"points for the regression, got {sweep}")
-        points = [(horizon, structure.build_identity(horizon)
-                   if scenario == "unstructured"
-                   else structure.build_periodic(p["tau"], horizon))
-                  for horizon in sweep]
+        bases = [structure.build_identity(horizon) if scenario == "unstructured"
+                 else structure.build_periodic(p["tau"], horizon)
+                 for horizon in sweep]
     rows = []
-    for horizon, basis in points:
+    for basis in bases:
+        horizon = basis.horizon
         if k > min(d, basis.tau):
             raise ConfigError(f"rate-check: k={k} exceeds min(d, tau) = "
                               f"{min(d, basis.tau)} at T={horizon}")
@@ -439,7 +525,8 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
             rate += p["c_beta_l"] * float(n_freq) ** (-2 * smooth.beta)
         rows.append(dict(row, theoretical_rate=rate))
     replicate = functools.partial(_one_replication, scenario, d, k, spec, seed,
-                                  p["tau"], smooth)
+                                  smooth)
+    points = [_rate_point(spec, basis) for basis in bases]
     means, stds = _mean_risks(replicate, points, reps, threads)
     for row, mu, sd in zip(rows, means, stds):
         row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)

@@ -1,4 +1,5 @@
-"""Row-wise dependent noise: samplers, covariance matrices, operator norms.
+"""Row-wise dependent noise: samplers, their filter adjoint, covariance
+matrices, operator norms.
 
 Rows of the noise matrix are i.i.d. copies of a stationary Gaussian scalar
 process observed at t = 1..T: white noise, MA(1) eps_t = eta_t - theta
@@ -13,6 +14,13 @@ eigenvalues are sigma^2 (1 - r^2) / (1 - 2 r cos th + r^2), r = |rho|, at the
 roots th of f(th) = sin((T+1) th) - 2 r sin(T th) + r^2 sin((T-1) th), and
 the top one comes from the smallest root, which bisection finds in O(1) time
 in T.
+
+A sample is two steps: `draw_noise` makes the Gaussian draws (the
+innovations, plus each row's start), and `filter_noise` runs the causal
+filter F of the spec over them, so a sample is draws @ F^T.  Its adjoint,
+`filter_adjoint`, takes a tau x T set of rows L to L F, so the projected
+noise sample_noise(...) @ L^T is draws @ (L F)^T: a filter over tau rows
+built once in place of one over every sampled d x T matrix.
 
 Reproducibility contract: sampling is a pure function of (spec, d, horizon,
 seed), using numpy's PCG64 generator.  Parallel replications must derive
@@ -68,35 +76,79 @@ def replication_seed(seed: int, replication: int) -> int:
     return int(np.random.SeedSequence([seed, replication]).generate_state(1)[0])
 
 
-def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
-    """Draw a d x horizon noise matrix with i.i.d. rows, deterministic in seed."""
+def draw_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
+    """The Gaussian draws behind `sample_noise`, before its causal filter.
+
+    iid noise is its own draws (d x horizon).  MA(1) and AR(1) draws are
+    d x (horizon + 1): column 0 is each row's start (the burn-in innovation
+    eta_0, or the AR(1) value at t = 0 from the stationary law N(0, sigma^2))
+    and columns 1..horizon are the innovations, AR(1)'s scaled by
+    sqrt(1 - rho^2) so the marginal variance is sigma^2.
+    """
     if d < 1 or horizon < 1:
         raise ValueError("d and horizon must be positive")
     rng = np.random.default_rng(seed)
     if spec.kind == "iid":
         return spec.sigma * rng.standard_normal((d, horizon))
+    draws = np.empty((d, horizon + 1))
     if spec.kind == "ma1":
         # Main innovations first so theta = 0 reproduces the iid sample
-        # bit-for-bit; one burn-in eta_0 per row drawn afterwards.
-        eta = spec.sigma * rng.standard_normal((d, horizon))
-        eta0 = spec.sigma * rng.standard_normal((d, 1))
-        lagged = np.hstack([eta0, eta[:, :-1]])
-        return eta - spec.theta * lagged
-    # AR(1), stationary-variance convention: marginal variance is sigma^2
-    # (innovations scaled by sqrt(1 - rho^2)), matching the covariance
-    # sigma^2 rho^|i-j| reported by covariance_matrix.  Each row starts from
-    # the stationary law N(0, sigma^2).
-    rho = spec.rho
-    y = np.empty((d, horizon + 1))
-    y[:, :1] = spec.sigma * rng.standard_normal((d, 1))
-    y[:, 1:] = spec.sigma * np.sqrt(1.0 - rho ** 2) * rng.standard_normal((d, horizon))
-    # y_t = eta_t + rho y_{t-1} as a log-depth doubling scan: after the pass
-    # with shift s, column t holds sum_{j < 2s} rho^j (column t - j).
+        # bit-for-bit; the burn-in eta_0 is drawn afterwards.
+        draws[:, 1:] = spec.sigma * rng.standard_normal((d, horizon))
+        draws[:, :1] = spec.sigma * rng.standard_normal((d, 1))
+        return draws
+    draws[:, :1] = spec.sigma * rng.standard_normal((d, 1))
+    draws[:, 1:] = (spec.sigma * np.sqrt(1.0 - spec.rho ** 2)
+                    * rng.standard_normal((d, horizon)))
+    return draws
+
+
+def _ar1_scan(y: np.ndarray, rho: float) -> None:
+    """y_t += rho y_{t-1} along each row, in place, as a log-depth doubling
+    scan: after the pass with shift s, column t holds sum_{j < 2s} rho^j
+    (column t - j)."""
     shift, coef = 1, rho
-    while shift <= horizon and coef != 0.0:
+    while shift < y.shape[1] and coef != 0.0:
         y[:, shift:] += coef * y[:, :-shift]
         shift, coef = 2 * shift, coef * coef
-    return y[:, 1:]
+
+
+def filter_noise(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
+    """The noise made from `draw_noise`'s draws: eps = draws @ F^T for the
+    causal filter F of the spec.  MA(1) is eps_t = eta_t - theta eta_{t-1};
+    AR(1) is eps_t = rho eps_{t-1} + eta_t.  Overwrites AR(1) draws."""
+    if spec.kind == "iid":
+        return draws
+    if spec.kind == "ma1":
+        return draws[:, 1:] - spec.theta * draws[:, :-1]
+    _ar1_scan(draws, spec.rho)
+    return draws[:, 1:]
+
+
+def filter_adjoint(spec: NoiseSpec, rows) -> np.ndarray:
+    """Each row l of the tau x horizon `rows` through the adjoint filter: l F.
+
+    So sample_noise(...) @ rows.T equals draws @ filter_adjoint(spec, rows).T
+    for the draws it is made from.  The AR(1) adjoint is the reverse-time scan
+    z_j = l_j + rho z_{j+1} over the row with l_0 = 0 in front; it costs
+    O(tau horizon log horizon) and holds a few tau x (horizon + 1) arrays.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if spec.kind == "iid":
+        return rows.copy()
+    z = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    z[:, 1:] = rows
+    if spec.kind == "ma1":
+        z[:, :-1] -= spec.theta * rows
+    else:
+        _ar1_scan(z[:, ::-1], spec.rho)
+    return z
+
+
+def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
+    """Draw a d x horizon noise matrix with i.i.d. rows, deterministic in seed:
+    the causal filter of the spec applied to its draws."""
+    return filter_noise(spec, draw_noise(spec, d, horizon, seed))
 
 
 def _variance(spec: NoiseSpec) -> float:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strucfact import (SmoothFactorSpec, build_identity, build_periodic,
-                       build_trig, expand, fit, linalg, predict, project)
+from strucfact import (NoiseSpec, SmoothFactorSpec, build_identity,
+                       build_periodic, build_trig, expand, fit, linalg,
+                       predict, project, replication_seed, risk, sample_noise)
 from strucfact import cli
 from strucfact.cli import main, read_matrix, write_matrix
 
@@ -387,15 +389,19 @@ class TestRateCheck:
         *[pytest.param("unstructured", t, id=str(t)) for t in (1, 2, 4)],
         *[pytest.param(s, t, id=f"{s}-{t}")
           for s in ("periodic", "smooth-ar1") for t in (2, 4)],
+        pytest.param("smooth-ar1-T1024", 2, id="smooth-ar1-T1024-2"),
     ])
     def test_threads_do_not_change_result(self, tmp_path, scenario, threads):
         # d = 8 < T: every unstructured fit takes the Gram path of linalg.top_k.
+        smooth_ar1 = {**SMOOTH_RATE_CFG,
+                      "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16},
+                      "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5}}
         cfg = {"unstructured": self.small_cfg(),
                "periodic": dict(self.small_cfg(), scenario="periodic", tau=4),
-               "smooth-ar1": {**SMOOTH_RATE_CFG,
-                              "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16},
-                              "noise": {"kind": "ar1", "sigma": 0.5,
-                                        "rho": 0.5}}}[scenario]
+               "smooth-ar1": smooth_ar1,
+               # Large enough that OpenBLAS's kernel choice can depend on its
+               # thread count (the smooth benchmark workload's d, T and noise).
+               "smooth-ar1-T1024": dict(smooth_ar1, d=30, k=2, T=1024)}[scenario]
         code1, out1 = run(tmp_path, "rate-check", cfg, "rate1", threads=1)
         code_n, out2 = run(tmp_path, "rate-check", cfg, "rate_n",
                            threads=threads)
@@ -466,6 +472,41 @@ class TestRateCheck:
                "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16}, **changes}
         code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
         assert_rejected(capsys, code, out)
+
+
+ORACLE_T = 48
+ORACLE_SMOOTH = SmoothFactorSpec(k=2, beta=2, ell=10.0, n_terms=6)
+ORACLE_BASES = {
+    "unstructured": [build_identity(ORACLE_T)],
+    "periodic": [build_periodic(4, ORACLE_T), build_periodic(1, ORACLE_T)],
+    # Narrower than, as wide as, and wider than the truth's n_terms = 6.
+    "smooth": [build_trig(n, ORACLE_T) for n in (1, 6, 9)],
+}
+ORACLE_NOISE = {"iid": NoiseSpec("iid", 0.5),
+                "ma1": NoiseSpec("ma1", 0.5, theta=0.6),
+                "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("noise", list(ORACLE_NOISE))
+@pytest.mark.parametrize("scenario", list(ORACLE_BASES))
+def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
+    """A replication in coefficient space gives the risk of simulating the
+    d x T signal, adding sampled noise, fitting and predicting."""
+    d, idx, spec = 6, 5, ORACLE_NOISE[noise]
+    for basis in ORACLE_BASES[scenario]:
+        k = min(2, basis.tau)
+        got = cli._one_replication(scenario, d, k, spec, seed, ORACLE_SMOOTH,
+                                   cli._rate_point(spec, basis), idx)
+        m, *_ = cli._simulate_instance(scenario, d, ORACLE_T, k,
+                                       replication_seed(seed, 2 * idx),
+                                       tau=basis.tau, smooth=ORACLE_SMOOTH)
+        x = m + sample_noise(spec, d, ORACLE_T, replication_seed(seed, 2 * idx + 1))
+        want = risk(predict(fit(x, basis, k)), m)
+        if scenario == "unstructured":
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-10), basis
 
 
 class TestNoiseConfigErrors:
@@ -882,6 +923,44 @@ def test_overflow_in_a_pool_thread_exits_3_with_one_line(tmp_path, threads):
     assert code == 3
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_rate_check_stops_early(tmp_path, capsys, monkeypatch,
+                                          threads):
+    calls = []
+    replicate = cli._one_replication
+
+    def spy(*args):
+        calls.append(args[-1])
+        return replicate(*args)
+
+    monkeypatch.setattr(cli, "_one_replication", spy)
+    reps = 100
+    code, out = run(tmp_path, "rate-check",
+                    dict(OVERFLOW_RATE_CFG, replications=reps), "rate",
+                    threads=threads)
+    err = assert_rejected(capsys, code, out, codes=(3,))
+    assert err.startswith("numeric failure:") and err.count("\n") == 1, err
+    # Fewer than the first point's replications, let alone all points'.
+    assert len(calls) < reps
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_mean_risks_raises_the_earliest_submitted_error(threads):
+    calls = []
+
+    def replicate(point, idx):
+        calls.append(idx)
+        if idx >= 3:
+            time.sleep(0.01)  # lets the waiting thread run, as numpy would
+            raise ArithmeticError(f"replication {idx}")
+        return 1.0
+
+    # Never a CancelledError of a task the first error cancelled.
+    with pytest.raises(ArithmeticError, match="^replication 3$"):
+        cli._mean_risks(replicate, [None] * 4, 50, threads)
+    assert len(calls) < 200
 
 
 class TestBlasThreadShare:

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from strucfact import (NoiseSpec, build_identity, build_periodic, build_trig,
                        covariance_matrix, replication_seed, sample_noise,
                        sigma_op_norm)
+from strucfact.noise import draw_noise, filter_adjoint, filter_noise
 
 SPECS = [
     NoiseSpec("iid", sigma=1.0),
@@ -243,3 +245,53 @@ class TestIidIsMa1ThetaZero:
     def test_iid_ignores_a_stray_theta(self):
         assert sigma_op_norm(NoiseSpec("iid", 0.7, theta=0.9), 12) \
             == sigma_op_norm(NoiseSpec("iid", 0.7), 12)
+
+
+ADJOINT_SPECS = [
+    NoiseSpec("iid", 0.7),
+    *[NoiseSpec("ma1", 0.7, theta=th) for th in (0.5, -0.5, 2.5, -2.5)],
+    *[NoiseSpec("ar1", 0.7, rho=rho) for rho in (0.0, 0.5, 0.95, -0.8)],
+]
+
+
+def adjoint_row_sets(horizon):
+    """Identity, periodic and trig rows L at one horizon."""
+    return {"identity": build_identity(horizon).rows,
+            "periodic": build_periodic(math.gcd(horizon, 4), horizon).rows,
+            "trig": build_trig(min(5, (horizon - 1) // 2), horizon).rows}
+
+
+class TestFilterAdjoint:
+    """sample_noise(...) @ L^T equals draws @ filter_adjoint(spec, L)^T."""
+
+    @pytest.mark.parametrize("horizon", [2, 3, 128, 1024])
+    @pytest.mark.parametrize("spec", ADJOINT_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.theta}-{s.rho}")
+    def test_projected_noise_matches_the_sample(self, spec, horizon):
+        d, seed = 5, 17
+        draws = draw_noise(spec, d, horizon, seed)
+        sample = sample_noise(spec, d, horizon, seed)
+        np.testing.assert_array_equal(filter_noise(spec, draws.copy()), sample)
+        for name, rows in adjoint_row_sets(horizon).items():
+            adjoint = filter_adjoint(spec, rows)
+            assert adjoint.shape == (rows.shape[0], draws.shape[1]), name
+            ref = sample @ rows.T
+            got = draws @ adjoint.T
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("spec", [NoiseSpec("ma1", 1.0, theta=0.6),
+                                      NoiseSpec("ar1", 1.0, rho=0.95)],
+                             ids=["ma1", "ar1"])
+    def test_trig_rows_at_long_horizon_take_o_tau_t_memory(self, spec):
+        horizon = 10 ** 5
+        rows = build_trig(2, horizon).rows
+        filter_adjoint(spec, rows[:, :8])  # warm-up
+        tracemalloc.start()
+        try:
+            adjoint = filter_adjoint(spec, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert adjoint.shape == (5, horizon + 1)
+        # A few tau x (T + 1) arrays; one T x T array would be 80 GB.
+        assert peak < 4 * adjoint.nbytes
