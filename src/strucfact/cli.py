@@ -2,12 +2,15 @@
 
 All commands read a strict JSON config, write CSV matrices (17 significant
 digits, comma delimiter, no header) plus strict JSON manifests/reports, and
-are fully deterministic given (config, seed), independent of the thread
-count.  Each command checks its config against one typed table before
-computing anything, computes every output before it writes a file, and
-publishes the output directory atomically.  The CSV writer formats each
-value once: a tiled matrix (a periodic signal, an identity or periodic fit)
-repeats its formatted period.
+are byte-for-byte deterministic given (config, seed, --threads).  Only
+rate-check uses --threads.  Its replication seeds do not depend on it, but the
+OpenBLAS thread count each pool thread gets does, and OpenBLAS may round a
+large product differently at another thread count (README).  Each command
+checks its config against one typed table before computing anything,
+computes every output before it writes a file, and publishes the output
+directory atomically.  The CSV writer formats each value once: a tiled
+matrix (a periodic signal, an identity or periodic fit) repeats its
+formatted period.
 
 rate-check replicates in the coefficient space of each point's basis L.
 Because L L^T = c I, a fit sees only the projection X L^T / c = B + E L^T / c
@@ -16,10 +19,12 @@ written over the wider of its own and the fit's trig basis, whose rows stay
 orthogonal because 2 max(n_terms, n_freq) < T.  So one replication draws the
 true coefficients B, adds the projected noise, fits it through
 build_identity(tau), and returns c ||A_hat - B||_F^2 / (d T), without ever
-forming a d x T signal.  For a trig basis the projected noise is the noise
-draws times W = filter_adjoint(spec, L)^T / c, built once per point (see the
-noise module).  An identity basis takes a noise sample as it is and a
-periodic basis projects one, which costs O(d T).
+forming a d x T signal.  For a trig basis the projected noise is z @ R: z is a
+d x tau standard normal drawn from the replication's noise seed, and R is the
+tau x tau factor of its row covariance L Sigma L^T / c^2, built once per
+point by noise.projected_noise_factor (which runs the AR(1) filter over the
+tau rows of L, never over a sample).  An identity basis takes a noise sample
+as it is and a periodic basis projects one, which costs O(d T).
 The first replication to fail cancels those not yet started.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
@@ -43,7 +48,7 @@ import numpy as np
 
 from . import estimator, sobolev, structure
 from .errors import ConvergenceError
-from .noise import (KINDS, NoiseSpec, draw_noise, filter_adjoint, replication_seed,
+from .noise import (KINDS, NoiseSpec, projected_noise_factor, replication_seed,
                     sample_noise, sigma_op_norm)
 from .select import CandidateGrid, PenaltyParams, select
 
@@ -367,13 +372,13 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
 # ---------- rate-check ----------
 
 def _rate_point(spec: NoiseSpec, basis: structure.StructureBasis):
-    """A rate-check point: (basis, W).  For a trig basis L, W is the map
-    filter_adjoint(spec, L)^T / c, (T + 1) x tau (T x tau for iid noise),
-    that takes noise draws straight to projected noise.  It is None for
-    identity and periodic bases, whose projection of a sample costs O(d T)."""
+    """A rate-check point: (basis, R).  For a trig basis L, R is the
+    tau x tau factor of the projected noise E L^T / c: R^T R is its row
+    covariance L Sigma L^T / c^2.  It is None for identity and periodic
+    bases, whose projection of a sample costs O(d T)."""
     if basis.kind != "trig":
         return basis, None
-    return basis, filter_adjoint(spec, basis.rows).T / basis.gram_constant
+    return basis, projected_noise_factor(spec, basis.rows) / basis.gram_constant
 
 
 def _widen(a: np.ndarray, width: int) -> np.ndarray:
@@ -388,7 +393,7 @@ def _widen(a: np.ndarray, width: int) -> np.ndarray:
 def _one_replication(scenario, d, k, spec, seed, smooth, point, idx):
     """simulate -> fit -> normalized risk of replication `idx` at one point,
     all in the coefficient space of the point's basis (module docstring)."""
-    basis, noise_map = point
+    basis, noise_factor = point
     tau, horizon = basis.tau, basis.horizon
     sig_seed = replication_seed(seed, 2 * idx)
     eps_seed = replication_seed(seed, 2 * idx + 1)
@@ -397,20 +402,13 @@ def _one_replication(scenario, d, k, spec, seed, smooth, point, idx):
         u, v = _truth(scenario, d, k, sig_seed, tau, smooth)
         # x_tilde starts as the projected noise E L^T / c, which is E itself
         # for the identity basis.
-        if noise_map is None:
+        if noise_factor is None:
             x_tilde = sample_noise(spec, d, horizon, eps_seed)
             if basis.kind == "periodic":
                 x_tilde = structure.project(x_tilde, basis)
         else:
-            # The start column of MA(1) and AR(1) draws is added apart, so the
-            # product has the shape of the projection x @ L^T.  With T + 1
-            # inner columns its bytes changed with OpenBLAS's thread count,
-            # and so with --threads (numpy 2.4.6, OpenBLAS 0.3.31, T = 1024,
-            # tau = 33).
-            draws = draw_noise(spec, d, horizon, eps_seed)
-            x_tilde = draws[:, -horizon:] @ noise_map[-horizon:]
-            if draws.shape[1] > horizon:
-                x_tilde += draws[:, :1] * noise_map[:1]
+            x_tilde = (np.random.default_rng(eps_seed).standard_normal((d, tau))
+                       @ noise_factor)
         # Zero columns change no fit and no risk.  They widen the narrower of
         # a smooth truth and its estimate, and tau = 1 to the two columns
         # build_identity needs.
@@ -569,8 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for rate-check replications; they "
-                            "share numpy's bundled OpenBLAS threads (results "
-                            "are identical at every thread count)")
+                            "share numpy's bundled OpenBLAS threads (the same "
+                            "count gives the same bytes; another count may "
+                            "round large products differently)")
     return parser
 
 

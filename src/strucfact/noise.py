@@ -20,7 +20,13 @@ innovations, plus each row's start), and `filter_noise` runs the causal
 filter F of the spec over them, so a sample is draws @ F^T.  Its adjoint,
 `filter_adjoint`, takes a tau x T set of rows L to L F, so the projected
 noise sample_noise(...) @ L^T is draws @ (L F)^T: a filter over tau rows
-built once in place of one over every sampled d x T matrix.
+built once in place of one over every sampled d x T matrix.  The draws are
+independent with standard deviations s, so each row of that projected noise
+is N(0, S) with S = L Sigma L^T = (diag(s) (L F)^T)^T (diag(s) (L F)^T), and
+`projected_noise_factor` returns the tau x tau triangular factor R of a QR
+of diag(s) (L F)^T.  z @ R for a d x tau standard normal z then has the law
+of the projected noise: d tau normals instead of d (T + 1), and the AR(1)
+scan runs once, over the tau rows, inside the factor.
 
 Reproducibility contract: sampling is a pure function of (spec, d, horizon,
 seed), using numpy's PCG64 generator.  Parallel replications must derive
@@ -76,6 +82,17 @@ def replication_seed(seed: int, replication: int) -> int:
     return int(np.random.SeedSequence([seed, replication]).generate_state(1)[0])
 
 
+def _draw_scales(spec: NoiseSpec, horizon: int) -> np.ndarray:
+    """Standard deviation of each column of `draw_noise`'s draws: sigma, but
+    sigma sqrt(1 - rho^2) for the AR(1) innovations after the start column."""
+    if spec.kind == "iid":
+        return np.full(horizon, spec.sigma)
+    scales = np.full(horizon + 1, spec.sigma * np.sqrt(1.0 - spec.rho ** 2)
+                     if spec.kind == "ar1" else spec.sigma)
+    scales[0] = spec.sigma
+    return scales
+
+
 def draw_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
     """The Gaussian draws behind `sample_noise`, before its causal filter.
 
@@ -89,17 +106,18 @@ def draw_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
         raise ValueError("d and horizon must be positive")
     rng = np.random.default_rng(seed)
     if spec.kind == "iid":
-        return spec.sigma * rng.standard_normal((d, horizon))
-    draws = np.empty((d, horizon + 1))
-    if spec.kind == "ma1":
-        # Main innovations first so theta = 0 reproduces the iid sample
-        # bit-for-bit; the burn-in eta_0 is drawn afterwards.
-        draws[:, 1:] = spec.sigma * rng.standard_normal((d, horizon))
-        draws[:, :1] = spec.sigma * rng.standard_normal((d, 1))
-        return draws
-    draws[:, :1] = spec.sigma * rng.standard_normal((d, 1))
-    draws[:, 1:] = (spec.sigma * np.sqrt(1.0 - spec.rho ** 2)
-                    * rng.standard_normal((d, horizon)))
+        draws = rng.standard_normal((d, horizon))
+    else:
+        draws = np.empty((d, horizon + 1))
+        if spec.kind == "ma1":
+            # Main innovations first so theta = 0 reproduces the iid sample
+            # bit-for-bit; the burn-in eta_0 is drawn afterwards.
+            draws[:, 1:] = rng.standard_normal((d, horizon))
+            draws[:, :1] = rng.standard_normal((d, 1))
+        else:
+            draws[:, :1] = rng.standard_normal((d, 1))
+            draws[:, 1:] = rng.standard_normal((d, horizon))
+    draws *= _draw_scales(spec, horizon)
     return draws
 
 
@@ -149,6 +167,20 @@ def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray
     """Draw a d x horizon noise matrix with i.i.d. rows, deterministic in seed:
     the causal filter of the spec applied to its draws."""
     return filter_noise(spec, draw_noise(spec, d, horizon, seed))
+
+
+def projected_noise_factor(spec: NoiseSpec, rows) -> np.ndarray:
+    """Upper-triangular tau x tau R with R^T R = rows Sigma rows^T.
+
+    That is the covariance of each row of the projected noise
+    sample_noise(...) @ rows.T, so z @ R for a d x tau standard normal z has
+    its law (module docstring).  R is the triangle of a QR of
+    diag(s) filter_adjoint(spec, rows)^T, for the scales s of the draws; no
+    covariance is formed, so no Cholesky squares its condition number.
+    """
+    rows = np.asarray(rows, dtype=float)
+    scaled = filter_adjoint(spec, rows).T * _draw_scales(spec, rows.shape[1])[:, None]
+    return np.linalg.qr(scaled, mode="r")
 
 
 def _variance(spec: NoiseSpec) -> float:

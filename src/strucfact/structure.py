@@ -12,11 +12,11 @@ Projection sends a d x T observation into the d x tau coefficient space
 via X @ L.T / c (the pseudo-inverse is L.T / c because L @ L.T = c I);
 expansion is the adjoint map back to d x T.
 
-L is applied as an operator and never stored.  Identity is periodic with
-tau = T: projection sums the T / tau blocks of tau columns of X, expansion
-tiles the coefficients (so it repeats every `basis.period` columns).  Trig
-multiplies by one cached read-only table of its rows.  `basis.rows`
-materialises L on demand.
+L is applied as an operator and never stored.  Periodic projection sums
+the T / tau blocks of tau columns of X and expansion tiles the coefficients
+(so it repeats every `basis.period` columns); identity is the periodic case
+tau = T, whose projection is a copy of X.  Trig multiplies by one cached
+read-only table of its rows.  `basis.rows` materialises L on demand.
 """
 from __future__ import annotations
 
@@ -117,6 +117,8 @@ def project(x, basis: StructureBasis) -> np.ndarray:
         )
     if basis.kind == "trig":
         return x @ _trig_rows(basis.tau // 2, basis.horizon).T / basis.gram_constant
+    if basis.kind == "identity":
+        return x.copy()
     # Sum the T / tau folds along a contiguous axis: numpy sums it pairwise.
     folds = x.reshape(x.shape[0], -1, basis.tau).transpose(0, 2, 1)
     return np.ascontiguousarray(folds).sum(axis=2) / basis.gram_constant

@@ -390,6 +390,7 @@ class TestRateCheck:
         *[pytest.param(s, t, id=f"{s}-{t}")
           for s in ("periodic", "smooth-ar1") for t in (2, 4)],
         pytest.param("smooth-ar1-T1024", 2, id="smooth-ar1-T1024-2"),
+        pytest.param("smooth-iid-T2000", 2, id="smooth-iid-T2000-2"),
     ])
     def test_threads_do_not_change_result(self, tmp_path, scenario, threads):
         # d = 8 < T: every unstructured fit takes the Gram path of linalg.top_k.
@@ -401,7 +402,14 @@ class TestRateCheck:
                "smooth-ar1": smooth_ar1,
                # Large enough that OpenBLAS's kernel choice can depend on its
                # thread count (the smooth benchmark workload's d, T and noise).
-               "smooth-ar1-T1024": dict(smooth_ar1, d=30, k=2, T=1024)}[scenario]
+               "smooth-ar1-T1024": dict(smooth_ar1, d=30, k=2, T=1024),
+               # Grid n_freq 1..32.  Its reports differed at --threads 1 and 2
+               # while each replication multiplied d x T noise draws.
+               "smooth-iid-T2000": {
+                   **SMOOTH_RATE_CFG, "d": 30, "k": 2, "T": 2000,
+                   "smooth": {"beta": 2, "ell": 30.0, "n_terms": 96},
+                   "noise": {"kind": "iid", "sigma": 0.8},
+                   "replications": 4, "seed": 1}}[scenario]
         code1, out1 = run(tmp_path, "rate-check", cfg, "rate1", threads=1)
         code_n, out2 = run(tmp_path, "rate-check", cfg, "rate_n",
                            threads=threads)
@@ -494,19 +502,62 @@ def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
     """A replication in coefficient space gives the risk of simulating the
     d x T signal, adding sampled noise, fitting and predicting."""
     d, idx, spec = 6, 5, ORACLE_NOISE[noise]
+    eps_seed = replication_seed(seed, 2 * idx + 1)
     for basis in ORACLE_BASES[scenario]:
         k = min(2, basis.tau)
+        point = cli._rate_point(spec, basis)
         got = cli._one_replication(scenario, d, k, spec, seed, ORACLE_SMOOTH,
-                                   cli._rate_point(spec, basis), idx)
+                                   point, idx)
         m, *_ = cli._simulate_instance(scenario, d, ORACLE_T, k,
                                        replication_seed(seed, 2 * idx),
                                        tau=basis.tau, smooth=ORACLE_SMOOTH)
-        x = m + sample_noise(spec, d, ORACLE_T, replication_seed(seed, 2 * idx + 1))
+        if scenario == "smooth":
+            # A trig point draws its projected noise z @ R from the
+            # replication's seed; this is time-domain noise that projects
+            # onto exactly that draw.  Its law is checked by
+            # test_trig_replication_risk_has_the_time_domain_law.
+            z = np.random.default_rng(eps_seed).standard_normal((d, basis.tau))
+            x = m + expand(z @ point[1], basis)
+        else:
+            x = m + sample_noise(spec, d, ORACLE_T, eps_seed)
         want = risk(predict(fit(x, basis, k)), m)
         if scenario == "unstructured":
             assert got == want
         else:
             assert got == pytest.approx(want, rel=1e-10), basis
+
+
+LAW_SPECS = {"iid": NoiseSpec("iid", 0.5), "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
+
+
+@pytest.mark.parametrize("n_freq", [2, 6])
+@pytest.mark.parametrize("noise", list(LAW_SPECS))
+def test_trig_replication_risk_has_the_time_domain_law(noise, n_freq):
+    """Over 100 replications, the mean risk of a trig point, whose projected
+    noise is drawn through its factor, matches that of fitting the same truths
+    plus time-domain noise.  The band was fixed from 40 seeds per case before
+    the factor landed: ratios of the means 0.93-1.08 and paired z-scores of
+    their difference |z| <= 2.76.  A factor 10% too large gave z 4.1-10.7 at
+    seeds 1-5, and one that ignores the AR(1) filter gave z below -28."""
+    d, k, horizon, reps = 8, 2, 64, 100
+    spec, basis = LAW_SPECS[noise], build_trig(n_freq, horizon)
+    point = cli._rate_point(spec, basis)
+    for seed in range(1, 6):
+        factor, time_domain = [], []
+        for idx in range(reps):
+            factor.append(cli._one_replication("smooth", d, k, spec, seed,
+                                               ORACLE_SMOOTH, point, idx))
+            m, *_ = cli._simulate_instance("smooth", d, horizon, k,
+                                           replication_seed(seed, 2 * idx),
+                                           tau=basis.tau, smooth=ORACLE_SMOOTH)
+            x = m + sample_noise(spec, d, horizon,
+                                 replication_seed(seed, 2 * idx + 1))
+            time_domain.append(risk(predict(fit(x, basis, k)), m))
+        factor, time_domain = np.array(factor), np.array(time_domain)
+        diff = factor - time_domain
+        z = diff.mean() / (diff.std(ddof=1) / np.sqrt(reps))
+        assert abs(z) <= 3.5, (seed, z)
+        assert 0.85 <= factor.mean() / time_domain.mean() <= 1.15, seed
 
 
 class TestNoiseConfigErrors:

@@ -8,7 +8,8 @@ import pytest
 from strucfact import (NoiseSpec, build_identity, build_periodic, build_trig,
                        covariance_matrix, replication_seed, sample_noise,
                        sigma_op_norm)
-from strucfact.noise import draw_noise, filter_adjoint, filter_noise
+from strucfact.noise import (draw_noise, filter_adjoint, filter_noise,
+                             projected_noise_factor)
 
 SPECS = [
     NoiseSpec("iid", sigma=1.0),
@@ -295,3 +296,21 @@ class TestFilterAdjoint:
         assert adjoint.shape == (5, horizon + 1)
         # A few tau x (T + 1) arrays; one T x T array would be 80 GB.
         assert peak < 4 * adjoint.nbytes
+
+
+class TestProjectedNoiseFactor:
+    """R^T R of the factor is the projected covariance L Sigma L^T."""
+
+    @pytest.mark.parametrize("horizon, n_freq", [
+        (horizon, n) for horizon in (3, 128, 1024) for n in (0, 1, 6)
+        if 2 * n < horizon])
+    @pytest.mark.parametrize("spec", ADJOINT_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.theta}-{s.rho}")
+    def test_matches_the_covariance_oracle(self, spec, horizon, n_freq):
+        rows = build_trig(n_freq, horizon).rows
+        factor = projected_noise_factor(spec, rows)
+        assert factor.shape == (rows.shape[0],) * 2
+        np.testing.assert_array_equal(factor, np.triu(factor))
+        ref = rows @ covariance_matrix(spec, horizon) @ rows.T
+        got = factor.T @ factor
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -90,6 +90,13 @@ class TestProjectExpand:
         x = np.arange(8.0).reshape(2, 4)
         np.testing.assert_array_equal(project(x, b), x)
 
+    def test_identity_projection_is_a_bitwise_copy(self):
+        x = np.random.default_rng(3).standard_normal((5, 40))
+        x[0, :3] = [-0.0, 5e-324, 1e308]
+        got = project(x, build_identity(40))
+        assert got.tobytes() == x.tobytes()
+        assert not np.shares_memory(got, x)
+
     def test_project_averages_distinct_periods(self):
         b = build_periodic(2, 4)
         b1 = np.array([[1.0, 2.0]])
