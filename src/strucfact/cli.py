@@ -3,14 +3,13 @@
 All commands read a strict JSON config, write CSV matrices (17 significant
 digits, comma delimiter, no header) plus strict JSON manifests/reports, and
 are byte-for-byte deterministic given (config, seed, --threads).  Only
-rate-check uses --threads.  Its replication seeds do not depend on it, but the
-OpenBLAS thread count each pool thread gets does, and OpenBLAS may round a
-large product differently at another thread count (README).  Each command
-checks its config against one typed table before computing anything,
-computes every output before it writes a file, and publishes the output
-directory atomically.  The CSV writer formats each value once: a tiled
-matrix (a periodic signal, an identity or periodic fit) repeats its
-formatted period.
+rate-check uses --threads, and only through the OpenBLAS thread count of its
+pool threads, at which OpenBLAS may round a large product differently
+(README).  Each command checks its config against the typed table of its
+scenario, basis kind and noise kind before computing anything, computes
+every output before it writes a file, and publishes the output directory
+atomically.  The CSV writer formats each value once: a tiled matrix (a
+periodic signal, an identity or periodic fit) repeats its formatted period.
 
 rate-check replicates in the coefficient space of each point's basis L.
 Because L L^T = c I, a fit sees only the projection X L^T / c = B + E L^T / c
@@ -27,7 +26,8 @@ tau rows of L, never over a sample).  An identity basis takes a noise sample
 as it is and a periodic basis projects one, which costs O(d T).
 The first replication to fail cancels those not yet started.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory,
+4 I/O error.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import estimator, sobolev, structure
 from .errors import ConvergenceError
-from .noise import (KINDS, NoiseSpec, projected_noise_factor, replication_seed,
+from .noise import (NoiseSpec, projected_noise_factor, replication_seed,
                     sample_noise, sigma_op_norm)
 from .select import CandidateGrid, PenaltyParams, select
 
@@ -67,46 +67,47 @@ class ConfigError(ValueError):
 
 # Each table maps key -> (type, default, minimum).  A type is int (no bools,
 # no floats), float (a finite real), str, list (of ints, each >= minimum;
-# empty only when the default is empty), a tuple of allowed strings, or a
-# nested table.  Defaults are used as given and never written back.
+# empty only when the default is empty), or a nested table.  Defaults are used
+# as given and never written back.  A table may also be a pair (key, {value:
+# table}): the string value of `key` picks the table for the other keys, so
+# each scenario, basis kind and noise kind lists only the keys that it reads.
 REQUIRED = object()
 POSITIVE = math.ulp(0.0)  # smallest positive float: as a minimum it means > 0
 SCHEMA = (int, SCHEMA_VERSION, None)
 
-NOISE = {"kind": (KINDS, REQUIRED, None), "sigma": (float, REQUIRED, POSITIVE),
-         "theta": (float, 0.0, None), "rho": (float, 0.0, None)}
+NOISE_BASE = {"sigma": (float, REQUIRED, POSITIVE)}
+NOISE = ("kind", {"iid": NOISE_BASE,
+                  "ma1": {**NOISE_BASE, "theta": (float, 0.0, None)},
+                  "ar1": {**NOISE_BASE, "rho": (float, 0.0, None)}})
 SMOOTH = {"beta": (int, REQUIRED, 1), "ell": (float, REQUIRED, POSITIVE),
           "n_terms": (int, REQUIRED, 0)}
-BASIS = {"kind": (structure.KINDS, REQUIRED, None),
-         "tau": (int, None, 1), "n_freq": (int, None, 0)}
+BASIS = ("kind", {"identity": {}, "periodic": {"tau": (int, REQUIRED, 1)},
+                  "trig": {"n_freq": (int, REQUIRED, 0)}})
 PENALTY = {"lambda": (float, 0.5, POSITIVE), "c_pen": (float, 2.0, 0),
            "s": (float, 1.0, 0), "noise_level": (float, None, POSITIVE)}
 
-# Keys a scenario or basis kind needs beyond its table's required keys.
-SIMULATE_NEEDS = {"unstructured": (), "periodic": ("tau",), "smooth": ("smooth",)}
-RATE_NEEDS = {"unstructured": ("sweep_T",), "periodic": ("sweep_T", "tau"),
-              "smooth": ("T", "smooth")}
-BASIS_NEEDS = {"identity": (), "periodic": ("tau",), "trig": ("n_freq",)}
-
-SIMULATE = {"schema": SCHEMA, "scenario": (tuple(SIMULATE_NEEDS), REQUIRED, None),
-            "d": (int, REQUIRED, 1), "T": (int, REQUIRED, 2),
-            "k": (int, REQUIRED, 1), "tau": (int, None, 1),
-            "smooth": (SMOOTH, None, None), "noise": (NOISE, REQUIRED, None),
-            "seed": (int, 0, 0)}
+SIMULATE_BASE = {"schema": SCHEMA, "d": (int, REQUIRED, 1), "T": (int, REQUIRED, 2),
+                 "k": (int, REQUIRED, 1), "noise": (NOISE, REQUIRED, None),
+                 "seed": (int, 0, 0)}
+SIMULATE = ("scenario", {
+    "unstructured": SIMULATE_BASE,
+    "periodic": {**SIMULATE_BASE, "tau": (int, REQUIRED, 1)},
+    "smooth": {**SIMULATE_BASE, "smooth": (SMOOTH, REQUIRED, None)}})
 FIT = {"schema": SCHEMA, "x": (str, REQUIRED, None),
        "basis": (BASIS, REQUIRED, None), "k": (int, REQUIRED, 1)}
 SELECT = {"schema": SCHEMA, "x": (str, REQUIRED, None), "taus": (list, [], 1),
           "n_freqs": (list, [], 0), "ranks": (list, REQUIRED, 1),
           "penalty": (PENALTY, REQUIRED, None)}
-RATE_CHECK = {"schema": SCHEMA, "scenario": (tuple(RATE_NEEDS), REQUIRED, None),
-              "d": (int, REQUIRED, 1), "k": (int, REQUIRED, 1),
-              "noise": (NOISE, REQUIRED, None),
-              "replications": (int, REQUIRED, 1), "seed": (int, 0, 0),
-              "sweep_T": (list, None, 2), "tau": (int, None, 1),
-              # The smooth cutoff grid always holds n_freq = 1, so T >= 3.
-              "T": (int, None, 3), "smooth": (SMOOTH, None, None),
-              "c_beta_l": (float, 1.0, POSITIVE), "slope_tol": (float, 0.15, 0),
-              "s": (float, 1.0, 0)}
+RATE_BASE = {"schema": SCHEMA, "d": (int, REQUIRED, 1), "k": (int, REQUIRED, 1),
+             "noise": (NOISE, REQUIRED, None), "replications": (int, REQUIRED, 1),
+             "seed": (int, 0, 0), "s": (float, 1.0, 0)}
+SWEEP = {**RATE_BASE, "sweep_T": (list, REQUIRED, 2), "slope_tol": (float, 0.15, 0)}
+RATE_CHECK = ("scenario", {
+    "unstructured": SWEEP,
+    "periodic": {**SWEEP, "tau": (int, REQUIRED, 1)},
+    # The smooth cutoff grid always holds n_freq = 1, so T >= 3.
+    "smooth": {**RATE_BASE, "T": (int, REQUIRED, 3), "smooth": (SMOOTH, REQUIRED, None),
+               "c_beta_l": (float, 1.0, POSITIVE)}})
 
 TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
               list: "a non-empty list of integers"}
@@ -116,22 +117,29 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse(cfg, table: dict, where: str) -> dict:
+def _parse(cfg, table: dict | tuple, where: str) -> dict:
     """Check `cfg` against `table`; return a copy with defaults filled in."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected an object, got {cfg!r}")
-    unknown = sorted(set(cfg) - set(table))
+    variant, parsed = "", {}
+    if isinstance(table, tuple):
+        key, tables = table
+        name = cfg.get(key)  # checked to be a string before it is looked up
+        if not (isinstance(name, str) and name in tables):
+            raise ConfigError(f"{where}: {key} must be one of {list(tables)}, "
+                              f"got {name!r}")
+        table, variant, parsed = tables[name], f" for {key} {name!r}", {key: name}
+    unknown = sorted(set(cfg) - set(table) - set(parsed))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    parsed = {}
+        raise ConfigError(f"{where}: unknown keys {unknown}{variant}")
     for key, (kind, default, minimum) in table.items():
         if key not in cfg:
             if default is REQUIRED:
-                raise ConfigError(f"{where}: missing required key {key!r}")
+                raise ConfigError(f"{where}: missing required key {key!r}{variant}")
             parsed[key] = default
             continue
         value = cfg[key]
-        if isinstance(kind, dict):
+        if isinstance(kind, (dict, tuple)):
             parsed[key] = _parse(value, kind, key)
             continue
         if kind is int:
@@ -141,25 +149,17 @@ def _parse(cfg, table: dict, where: str) -> dict:
         elif kind is list:
             ok = (isinstance(value, list) and all(map(_is_int, value))
                   and (value or default == []))
-        elif kind is str:
-            ok = isinstance(value, str)
         else:
-            ok = isinstance(value, str) and value in kind
+            ok = isinstance(value, str)
         if not ok:
-            expected = TYPE_NAMES.get(kind) or f"one of {list(kind)}"
-            raise ConfigError(f"{where}: {key} must be {expected}, got {value!r}")
+            raise ConfigError(f"{where}: {key} must be {TYPE_NAMES[kind]}, "
+                              f"got {value!r}")
         if minimum is not None and any(
                 v < minimum for v in (value if kind is list else [value])):
             bound = "> 0" if minimum is POSITIVE else f">= {minimum}"
             raise ConfigError(f"{where}: {key} must be {bound}, got {value!r}")
         parsed[key] = value
     return parsed
-
-
-def _needs(parsed: dict, keys, what: str) -> None:
-    missing = [key for key in keys if parsed[key] is None]
-    if missing:
-        raise ConfigError(f"{what} needs {missing}")
 
 
 def _smooth_spec(p: dict, horizon: int, where: str) -> sobolev.SmoothFactorSpec:
@@ -294,13 +294,12 @@ def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
 def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     p = _parse(cfg, SIMULATE, "simulate")
     scenario, d, horizon, k = p["scenario"], p["d"], p["T"], p["k"]
-    _needs(p, SIMULATE_NEEDS[scenario], f"simulate: scenario {scenario!r}")
     spec = _noise_spec(p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
     smooth = _smooth_spec(p, horizon, "simulate") if scenario == "smooth" else None
 
     m, u, v, period = _simulate_instance(scenario, d, horizon, k, seed,
-                                         tau=p["tau"], smooth=smooth)
+                                         tau=p.get("tau"), smooth=smooth)
     x = m + sample_noise(spec, d, horizon, replication_seed(seed, 1))
     manifest = _json_text({"config": cfg, "seed": seed,
                            "noise_op_norm": sigma_op_norm(spec, horizon).op_norm})
@@ -314,7 +313,6 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
 def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
     p = _parse(cfg, FIT, "fit")
     b = p["basis"]
-    _needs(b, BASIS_NEEDS[b["kind"]], f"basis: kind {b['kind']!r}")
     x = read_matrix(p["x"])
     horizon = x.shape[1]
     if b["kind"] == "identity":
@@ -485,7 +483,6 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
                    threads: int = 1) -> None:
     p = _parse(cfg, RATE_CHECK, "rate-check")
     scenario, d, k, reps = p["scenario"], p["d"], p["k"], p["replications"]
-    _needs(p, RATE_NEEDS[scenario], f"rate-check: scenario {scenario!r}")
     spec = _noise_spec(p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
 
@@ -596,6 +593,9 @@ def main(argv=None) -> int:
         return 2
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -60,6 +60,14 @@ SIM_CFG = {
     "noise": {"kind": "iid", "sigma": 0.5},
     "seed": 11,
 }
+SMOOTH_CFG = {"beta": 2, "ell": 10.0, "n_terms": 4}
+
+
+def sim_cfg(scenario: str, **changes) -> dict:
+    """SIM_CFG as `scenario`, with only the keys that scenario reads."""
+    own = {"periodic": {"tau": 4}, "smooth": {"smooth": SMOOTH_CFG}}
+    base = {key: value for key, value in SIM_CFG.items() if key != "tau"}
+    return {**base, "scenario": scenario, **own.get(scenario, {}), **changes}
 
 
 class TestSimulate:
@@ -89,8 +97,7 @@ class TestSimulate:
         # Projecting V onto its trig basis recovers the dictionary's constant
         # terms a0.  Drawn from the same seed as U, a0 was U's first row
         # before normalization.
-        cfg = dict(SIM_CFG, scenario="smooth", k=3, smooth=SMOOTH_CFG)
-        code, out = run(tmp_path, "simulate", cfg, "sim")
+        code, out = run(tmp_path, "simulate", sim_cfg("smooth", k=3), "sim")
         assert code == 0
         u, v = read_matrix(out / "U.csv"), read_matrix(out / "V.csv")
         a0 = project(v, build_trig(SMOOTH_CFG["n_terms"], 24))[:, 0]
@@ -111,18 +118,23 @@ class TestSimulate:
         ("k", 1.5), ("k", "2"), ("d", 3.0), ("T", "24"), ("seed", "x"),
         ("seed", 1.5), ("seed", -1), ("tau", None), ("schema", True),
         ("scenario", "weekly"),
+        ("smooth", {"beta": 2, "ell": 10.0, "n_terms": 4}),  # not read by periodic
     ])
     def test_mistyped_key_exits_2_without_output(self, tmp_path, capsys,
                                                  key, value):
         code, out = run(tmp_path, "simulate", dict(SIM_CFG, **{key: value}),
                         "sim_bad")
-        assert_rejected(capsys, code, out)
+        err = assert_rejected(capsys, code, out)
+        if key == "smooth":
+            assert err == ("config error: simulate: unknown keys ['smooth'] "
+                           "for scenario 'periodic'\n")
 
     def test_non_integer_smooth_beta_rejected(self, tmp_path, capsys):
-        cfg = dict(SIM_CFG, scenario="smooth", k=1,
-                   smooth={"beta": 2.0, "ell": 10.0, "n_terms": 4})
+        cfg = sim_cfg("smooth", k=1,
+                      smooth={"beta": 2.0, "ell": 10.0, "n_terms": 4})
         code, out = run(tmp_path, "simulate", cfg, "sim_bad")
-        assert_rejected(capsys, code, out)
+        err = assert_rejected(capsys, code, out)
+        assert err == "config error: smooth: beta must be an integer, got 2.0\n"
 
     def test_overflowing_noise_exits_3_without_output(self, tmp_path, capsys):
         cfg = dict(SIM_CFG, noise={"kind": "iid", "sigma": 1e200})
@@ -192,6 +204,10 @@ class TestFit:
         code, _ = run(tmp_path, "fit", fit_cfg, "fit_missing")
         assert code == 4
 
+    # Basis sections, each with the one key that its kind never reads.
+    STRAY_BASES = [({"kind": "identity", "tau": 5}, "tau"),
+                   ({"kind": "periodic", "tau": 4, "n_freq": 2}, "n_freq")]
+
     def test_summary_contents(self, tmp_path):
         _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
         fit_cfg = {"x": str(sim_out / "X.csv"),
@@ -208,6 +224,7 @@ class TestFit:
         ("basis", {"kind": "trig", "n_freq": 2.0}),
         ("basis", {"kind": "trig"}),
         ("basis", "periodic"),
+        *[("basis", basis) for basis, _ in STRAY_BASES],
     ])
     def test_mistyped_key_exits_2_without_output(self, tmp_path, capsys,
                                                  key, value):
@@ -216,7 +233,11 @@ class TestFit:
                    "basis": {"kind": "periodic", "tau": 4}, "k": 2}
         code, out = run(tmp_path, "fit", dict(fit_cfg, **{key: value}),
                         "fit_bad")
-        assert_rejected(capsys, code, out)
+        err = assert_rejected(capsys, code, out)
+        for basis, stray in self.STRAY_BASES:
+            if value == basis:
+                assert err == (f"config error: basis: unknown keys [{stray!r}] "
+                               f"for kind {basis['kind']!r}\n")
 
     def test_overflowing_risk_exits_3_without_output(self, tmp_path, capsys):
         # The residual's square overflows, so summary.json would hold Infinity.
@@ -450,6 +471,11 @@ class TestRateCheck:
         assert report["optimal_cutoff"] >= 1
         assert report["risk_at_cutoff"] >= report["best_grid_risk"] - 1e-15
 
+    # Per scenario, changes that each add one key the scenario never reads.
+    STRAY = {"unstructured": [{"tau": 4}, {"T": 64}, {"c_beta_l": 1.0},
+                              {"smooth": {"beta": 2, "ell": 10.0, "n_terms": 16}}],
+             "smooth": [{"slope_tol": 0.15}]}
+
     @pytest.mark.parametrize("changes", [
         {"d": 3, "k": 5},                          # k > min(d, T)
         {"scenario": "periodic", "tau": 4, "k": 6},  # k > min(d, tau)
@@ -461,11 +487,15 @@ class TestRateCheck:
         {"sweep_T": [1, 24, 48, 96]},
         {"scenario": "periodic"},                  # no tau
         {"slope_tol": "x"}, {"s": "x"}, {"s": float("nan")},
+        *STRAY["unstructured"],
     ])
     def test_invalid_sweep_config_rejected(self, tmp_path, capsys, changes):
         cfg = dict(self.small_cfg(), **changes)
         code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
-        assert_rejected(capsys, code, out)
+        err = assert_rejected(capsys, code, out)
+        if changes in self.STRAY["unstructured"]:
+            assert err == (f"config error: rate-check: unknown keys {list(changes)} "
+                           "for scenario 'unstructured'\n")
 
     @pytest.mark.parametrize("changes", [
         {"d": 6, "k": 7},       # k > min(d, tau) at every cutoff point
@@ -474,12 +504,16 @@ class TestRateCheck:
         {"T": 3},               # T < 2 n_terms + 2
         {"T": 64.0},
         {"smooth": None},
+        *STRAY["smooth"],
     ])
     def test_invalid_smooth_config_rejected(self, tmp_path, capsys, changes):
         cfg = {**SMOOTH_RATE_CFG,
                "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16}, **changes}
         code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
-        assert_rejected(capsys, code, out)
+        err = assert_rejected(capsys, code, out)
+        if changes in self.STRAY["smooth"]:
+            assert err == (f"config error: rate-check: unknown keys {list(changes)} "
+                           "for scenario 'smooth'\n")
 
 
 ORACLE_T = 48
@@ -569,14 +603,22 @@ class TestNoiseConfigErrors:
         {"kind": "ma1", "sigma": 1.0, "theta": float("nan")},
         {"kind": "iid", "sigma": True},
     ]
+    # Each carries one key that its kind never reads.
+    STRAY_NOISE = [{"kind": "iid", "sigma": 1.0, "rho": 0.5},
+                   {"kind": "iid", "sigma": 1.0, "theta": 0.5},
+                   {"kind": "ma1", "sigma": 1.0, "rho": 0.5}]
 
-    @pytest.mark.parametrize("noise", BAD_NOISE)
+    @pytest.mark.parametrize("noise", BAD_NOISE + STRAY_NOISE)
     def test_simulate_exits_2_without_output(self, tmp_path, capsys, noise):
         code, out = run(tmp_path, "simulate", dict(SIM_CFG, noise=noise), "sim")
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: noise:") and "Traceback" not in err
+        if noise in self.STRAY_NOISE:
+            [stray] = set(noise) - {"kind", "sigma"}
+            assert err == (f"config error: noise: unknown keys [{stray!r}] "
+                           f"for kind {noise['kind']!r}\n")
 
     @pytest.mark.parametrize("noise", BAD_NOISE[:3])
     def test_rate_check_exits_2_without_output(self, tmp_path, capsys, noise):
@@ -613,12 +655,10 @@ SMOOTH_RATE_CFG = {
 @pytest.mark.parametrize("command", ["simulate", "rate-check"])
 def test_bad_smooth_spec_exits_2_without_output(tmp_path, capsys, command,
                                                 smooth):
-    base = dict(SIM_CFG, scenario="smooth", k=1) if command == "simulate" \
-        else SMOOTH_RATE_CFG
+    base = sim_cfg("smooth", k=1) if command == "simulate" else SMOOTH_RATE_CFG
     code, out = run(tmp_path, command, dict(base, smooth=smooth), "smooth")
-    assert code == 2
-    assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
+    err = assert_rejected(capsys, code, out)
+    assert err.startswith("config error: smooth:"), err
 
 
 def command_cfg(command: str) -> dict:
@@ -715,7 +755,6 @@ FIT_BASES = {
     "periodic": ({"kind": "periodic", "tau": 4}, build_periodic(4, 24)),
     "trig": ({"kind": "trig", "n_freq": 3}, build_trig(3, 24)),
 }
-SMOOTH_CFG = {"beta": 2, "ell": 10.0, "n_terms": 4}
 
 
 class TestTiledOutputs:
@@ -723,8 +762,7 @@ class TestTiledOutputs:
 
     @pytest.mark.parametrize("scenario", ["unstructured", "periodic", "smooth"])
     def test_simulate_m_equals_savetxt(self, tmp_path, scenario):
-        cfg = dict(SIM_CFG, scenario=scenario, smooth=SMOOTH_CFG)
-        code, out = run(tmp_path, "simulate", cfg, "sim")
+        code, out = run(tmp_path, "simulate", sim_cfg(scenario), "sim")
         assert code == 0
         smooth = SmoothFactorSpec(k=2, **SMOOTH_CFG)
         m, *_ = cli._simulate_instance(scenario, 6, 24, 2, SIM_CFG["seed"],
@@ -876,7 +914,12 @@ FUZZ_VALUES = st.recursive(
 
 FUZZ_CONFIGS = {
     "simulate": SIM_CFG,
+    "simulate smooth": sim_cfg("smooth", noise={"kind": "ma1", "sigma": 0.5,
+                                                "theta": 0.4}),
+    "simulate unstructured": sim_cfg("unstructured"),
     "fit": {"x": "X.csv", "basis": {"kind": "periodic", "tau": 4}, "k": 2},
+    "fit identity": {"x": "X.csv", "basis": {"kind": "identity"}, "k": 2},
+    "fit trig": {"x": "X.csv", "basis": {"kind": "trig", "n_freq": 3}, "k": 2},
     "select": {"x": "X.csv", "taus": [4, 8], "n_freqs": [2], "ranks": [1, 2],
                "penalty": {"lambda": 0.5, "c_pen": 2.0, "noise_level": 0.25}},
     "rate-check": {"scenario": "unstructured", "d": 4, "k": 1,
@@ -886,7 +929,13 @@ FUZZ_CONFIGS = {
                           "smooth": {"beta": 2, "ell": 10.0, "n_terms": 4},
                           "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5},
                           "replications": 2, "seed": 3},
+    "rate-check periodic": {"scenario": "periodic", "d": 4, "k": 1, "tau": 4,
+                            "noise": {"kind": "ma1", "sigma": 0.5, "theta": 0.4},
+                            "sweep_T": [8, 16, 24, 32], "replications": 2},
 }
+# Every scenario and kind name, so a fuzzed discriminant can switch variant.
+VARIANT_NAMES = ["unstructured", "periodic", "smooth", "identity", "trig",
+                 "iid", "ma1", "ar1"]
 
 
 def _key_paths(cfg):
@@ -906,8 +955,11 @@ def test_fuzzed_config_keeps_exit_contract(tmp_path_factory, name):
     command = name.split()[0]
 
     @settings(max_examples=25, deadline=None, database=None)
-    @given(path=st.sampled_from(_key_paths(base)), value=FUZZ_VALUES)
-    def check(path, value):
+    @given(path=st.sampled_from(_key_paths(base)), data=st.data())
+    def check(path, data):
+        # A scenario or kind also takes the other variants' names.
+        value = data.draw(FUZZ_VALUES | st.sampled_from(VARIANT_NAMES)
+                          if path[-1] in ("scenario", "kind") else FUZZ_VALUES)
         cfg = json.loads(json.dumps(base))
         target = cfg
         for key in path[:-1]:
@@ -973,6 +1025,18 @@ def test_overflow_in_a_pool_thread_exits_3_with_one_line(tmp_path, threads):
                                  threads=threads)
     assert code == 3
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
+    assert not out.exists()
+
+
+# d = 10**17 rows ask for about 1.4 EiB, more than any address space holds, so
+# the first allocation fails at once without touching memory.
+@pytest.mark.parametrize("command, threads", [
+    ("simulate", 1), ("rate-check", 1), ("rate-check", 2)])
+def test_an_allocation_failure_exits_3_with_one_line(tmp_path, command, threads):
+    cfg = dict(command_cfg(command), d=10**17, k=2)
+    code, lines, out = run_child(tmp_path, command, cfg, threads=threads)
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("out of memory:"), lines
     assert not out.exists()
 
 
