@@ -2,14 +2,14 @@
 
 All commands read a strict JSON config, write CSV matrices (17 significant
 digits, comma delimiter, no header) plus strict JSON manifests/reports, and
-are byte-for-byte deterministic given (config, seed, --threads).  Only
-rate-check uses --threads, and only through the OpenBLAS thread count of its
-pool threads, at which OpenBLAS may round a large product differently
-(README).  Each command checks its config against the typed table of its
-scenario, basis kind and noise kind before computing anything, computes
-every output before it writes a file, and publishes the output directory
-atomically.  The CSV writer formats each value once: a tiled matrix (a
-periodic signal, an identity or periodic fit) repeats its formatted period.
+are byte-for-byte deterministic given config, seed and BLAS thread count.
+Only rate-check uses --threads, which sizes its pool; it runs numpy's bundled
+OpenBLAS at one thread, so its report depends on config and seed alone.  Each
+command checks its config against the typed table of its scenario, basis
+kind and noise kind before computing anything, computes every output before
+it writes a file, and publishes the output directory atomically.  The CSV
+writer formats each value once: a tiled matrix (a periodic signal, an
+identity or periodic fit) repeats its formatted period.
 
 rate-check replicates in the coefficient space of each point's basis L.
 Because L L^T = c I, a fit sees only the projection X L^T / c = B + E L^T / c
@@ -442,29 +442,18 @@ def _mean_risks(replicate, points, replications, threads):
     """Run replicate(point i, i * replications + r) for every point i and
     replication r on one pool; return the mean and std risk per point.
 
-    While the pool runs, each pool thread gets 1/threads of numpy's bundled
-    OpenBLAS threads, so pool and BLAS threads do not oversubscribe the cores.
     The first error cancels the tasks not yet started; the error raised is
     that of the earliest-submitted task that failed.
     """
-    blas = _bundled_openblas()
-    old = blas[0]() if blas else 1
-    share = max(1, old // threads)
-    if share != old:
-        blas[1](share)
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tasks = [pool.submit(replicate, point, i * replications + r)
-                     for i, point in enumerate(points)
-                     for r in range(replications)]
-            # One wake-up, at the first error or when all are done: waiting on
-            # each task in turn wakes this thread per task (~1000 context
-            # switches per smooth workload run on 2 cores).
-            wait(tasks, return_when=FIRST_EXCEPTION)
-            pool.shutdown(cancel_futures=True)
-    finally:
-        if share != old:
-            blas[1](old)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        tasks = [pool.submit(replicate, point, i * replications + r)
+                 for i, point in enumerate(points)
+                 for r in range(replications)]
+        # One wake-up, at the first error or when all are done: waiting on
+        # each task in turn wakes this thread per task (~1000 context
+        # switches per smooth workload run on 2 cores).
+        wait(tasks, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
     for task in tasks:
         if not task.cancelled() and task.exception() is not None:
             raise task.exception()
@@ -521,23 +510,33 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         rows.append(dict(row, theoretical_rate=rate))
     replicate = functools.partial(_one_replication, scenario, d, k, spec, seed,
                                   smooth)
-    points = [_rate_point(spec, basis) for basis in bases]
-    means, stds = _mean_risks(replicate, points, reps, threads)
-    for row, mu, sd in zip(rows, means, stds):
-        row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
+    # At one OpenBLAS thread the pool is the only parallelism, and no product
+    # rounds in another way at another --threads (OpenBLAS may).
+    get, set_ = _bundled_openblas() or (lambda: 1, None)
+    old = get()
+    if old != 1:
+        set_(1)
+    try:
+        points = [_rate_point(spec, basis) for basis in bases]
+        means, stds = _mean_risks(replicate, points, reps, threads)
+        for row, mu, sd in zip(rows, means, stds):
+            row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
 
-    report = {"scenario": scenario, "points": rows}
-    if smooth is not None:
-        star_risk = float(means[grid.index(n_star)])
-        report.update(optimal_cutoff=n_star, risk_at_cutoff=star_risk,
-                      best_grid_risk=float(means.min()),
-                      passed=bool(star_risk <= 2.0 * means.min()))
-    else:
-        slope, intercept, se = _loglog_slope(
-            [row["theoretical_rate"] for row in rows], means)
-        report.update(slope=slope, intercept=intercept, slope_stderr=se,
-                      slope_tol=p["slope_tol"],
-                      passed=bool(abs(slope - 1.0) <= p["slope_tol"]))
+        report = {"scenario": scenario, "points": rows}
+        if smooth is not None:
+            star_risk = float(means[grid.index(n_star)])
+            report.update(optimal_cutoff=n_star, risk_at_cutoff=star_risk,
+                          best_grid_risk=float(means.min()),
+                          passed=bool(star_risk <= 2.0 * means.min()))
+        else:
+            slope, intercept, se = _loglog_slope(
+                [row["theoretical_rate"] for row in rows], means)
+            report.update(slope=slope, intercept=intercept, slope_stderr=se,
+                          slope_tol=p["slope_tol"],
+                          passed=bool(abs(slope - 1.0) <= p["slope_tol"]))
+    finally:
+        if old != 1:
+            set_(old)
     _publish(out, {"rate_report.json": _json_text(report)})
 
 
@@ -563,10 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for rate-check replications; they "
-                            "share numpy's bundled OpenBLAS threads (the same "
-                            "count gives the same bytes; another count may "
-                            "round large products differently)")
+                       help="worker threads for rate-check replications")
     return parser
 
 
@@ -579,7 +575,10 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except RecursionError:
+                raise ConfigError(f"{args.config}: JSON nested too deeply") from None
         if isinstance(cfg, dict) and cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {cfg['schema']!r}")
         out = Path(args.out)

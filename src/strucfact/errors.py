@@ -2,4 +2,4 @@
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to converge within its cap."""
+    """LAPACK's SVD or symmetric eigensolver failed to converge."""

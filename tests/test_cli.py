@@ -385,6 +385,13 @@ class TestSelect:
         assert winner["chosen_tau"] in (3, 5)
 
 
+# At d = 100 OpenBLAS rounds the d x d Gram matrix of a fit differently at 1
+# and 2 threads, so this report shows whether its BLAS thread count is fixed.
+D100_RATE_CFG = {"scenario": "unstructured", "d": 100, "k": 2,
+                 "noise": {"kind": "iid", "sigma": 0.5},
+                 "sweep_T": [120, 240, 480, 960], "replications": 3, "seed": 1}
+
+
 class TestRateCheck:
     def small_cfg(self):
         return {
@@ -412,6 +419,8 @@ class TestRateCheck:
           for s in ("periodic", "smooth-ar1") for t in (2, 4)],
         pytest.param("smooth-ar1-T1024", 2, id="smooth-ar1-T1024-2"),
         pytest.param("smooth-iid-T2000", 2, id="smooth-iid-T2000-2"),
+        *[pytest.param("unstructured-d100", t, id=f"unstructured-d100-{t}")
+          for t in (2, 4)],
     ])
     def test_threads_do_not_change_result(self, tmp_path, scenario, threads):
         # d = 8 < T: every unstructured fit takes the Gram path of linalg.top_k.
@@ -430,7 +439,8 @@ class TestRateCheck:
                    **SMOOTH_RATE_CFG, "d": 30, "k": 2, "T": 2000,
                    "smooth": {"beta": 2, "ell": 30.0, "n_terms": 96},
                    "noise": {"kind": "iid", "sigma": 0.8},
-                   "replications": 4, "seed": 1}}[scenario]
+                   "replications": 4, "seed": 1},
+               "unstructured-d100": D100_RATE_CFG}[scenario]
         code1, out1 = run(tmp_path, "rate-check", cfg, "rate1", threads=1)
         code_n, out2 = run(tmp_path, "rate-check", cfg, "rate_n",
                            threads=threads)
@@ -985,9 +995,10 @@ def test_fuzzed_config_keeps_exit_contract(tmp_path_factory, name):
 
 def run_child(tmp_path, command, cfg, threads=1):
     """Run a command as a separate process, so that a numpy warning would
-    reach its stderr; returns (exit code, stderr lines, out)."""
+    reach its stderr; returns (exit code, stderr lines, out).  A str `cfg` is
+    the config file's text."""
     cfg_path = tmp_path / f"{command}.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out = tmp_path / "out"
     result = subprocess.run(
         [sys.executable, "-m", "strucfact.cli", command, "--config",
@@ -1009,6 +1020,16 @@ def test_overflowing_projection_exits_3_with_one_line(tmp_path, command, cfg):
                                  dict(cfg, x=str(tmp_path / "X.csv")))
     assert code == 3
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
+    assert not out.exists()
+
+
+def test_a_deeply_nested_config_exits_2_with_one_line(tmp_path):
+    # Raw text: json.dumps would itself recurse.
+    depth = 100_000
+    code, lines, out = run_child(tmp_path, "fit", "[" * depth + "]" * depth)
+    assert code == 2
+    assert lines == [f"config error: {tmp_path / 'fit.json'}: JSON nested "
+                     "too deeply"], lines
     assert not out.exists()
 
 
@@ -1079,10 +1100,10 @@ def test_mean_risks_raises_the_earliest_submitted_error(threads):
 
 
 class TestBlasThreadShare:
-    """While the rate-check pool runs, each of its `threads` pool threads gets
-    1/threads of numpy's bundled OpenBLAS threads; the count comes back after."""
+    """While a rate-check runs, numpy's bundled OpenBLAS runs at one thread,
+    shared by every pool thread; its count comes back after."""
 
-    START = 4  # a count that --threads 2 splits, whatever the core count
+    START = 4  # a count above 1, whatever the core count
 
     @pytest.fixture
     def blas(self):
@@ -1095,8 +1116,9 @@ class TestBlasThreadShare:
         yield get
         set_(default)
 
-    def test_pool_threads_share_the_count_and_it_comes_back(
-            self, tmp_path, monkeypatch, blas):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_replications_run_at_one_blas_thread_and_the_count_comes_back(
+            self, tmp_path, monkeypatch, blas, threads):
         seen = []
         replicate = cli._one_replication
 
@@ -1106,9 +1128,9 @@ class TestBlasThreadShare:
 
         monkeypatch.setattr(cli, "_one_replication", spy)
         code, _ = run(tmp_path, "rate-check", TestRateCheck().small_cfg(),
-                      "rate", threads=2)
+                      "rate", threads=threads)
         assert code == 0
-        assert len(seen) == 12 and set(seen) == {self.START // 2}
+        assert len(seen) == 12 and set(seen) == {1}
         assert blas() == self.START
 
     def test_count_comes_back_after_a_pool_thread_fails(self, tmp_path, blas):
@@ -1117,8 +1139,8 @@ class TestBlasThreadShare:
         assert code == 3
         assert blas() == self.START
 
-    def test_count_comes_back_when_the_pool_itself_fails(self, monkeypatch,
-                                                         blas):
+    def test_count_comes_back_when_the_pool_itself_fails(self, tmp_path,
+                                                         monkeypatch, blas):
         # A replication's error surfaces after the pool joins; this one
         # (no thread could start) leaves the pool block early.
         class Broken(cli.ThreadPoolExecutor):
@@ -1127,16 +1149,31 @@ class TestBlasThreadShare:
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Broken)
         with pytest.raises(RuntimeError):
-            cli._mean_risks(None, [None], 1, 2)
+            cli.cmd_rate_check(TestRateCheck().small_cfg(), tmp_path / "rate",
+                               None, threads=2)
         assert blas() == self.START
 
-    # --threads 1, and a BLAS already at one thread (OPENBLAS_NUM_THREADS=1).
-    @pytest.mark.parametrize("threads, count", [(1, 4), (2, 1)])
-    def test_count_is_never_set_when_the_share_is_all_of_it(
-            self, tmp_path, monkeypatch, threads, count):
+    def test_a_count_of_one_gives_the_same_bytes(self, tmp_path):
+        # The default count, and then 1 as under OPENBLAS_NUM_THREADS=1.
+        blas = cli._bundled_openblas()
+        if blas is None:
+            pytest.skip("numpy ships no OpenBLAS of its own here")
+        get, set_ = blas
+        default = get()
+        code1, out1 = run(tmp_path, "rate-check", D100_RATE_CFG, "rate1")
+        set_(1)
+        try:
+            code2, out2 = run(tmp_path, "rate-check", D100_RATE_CFG, "rate2")
+        finally:
+            set_(default)
+        assert code1 == code2 == 0
+        assert dir_hash(out1) == dir_hash(out2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_count_of_one_is_never_set(self, tmp_path, monkeypatch, threads):
         calls = []
         monkeypatch.setattr(cli, "_bundled_openblas",
-                            lambda: (lambda: count, calls.append))
+                            lambda: (lambda: 1, calls.append))
         code, _ = run(tmp_path, "rate-check", TestRateCheck().small_cfg(),
                       "rate", threads=threads)
         assert code == 0
