@@ -349,19 +349,21 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
     horizon = x.shape[1]
     bases = [structure.build_periodic(tau, horizon) for tau in p["taus"]]
     bases += [structure.build_trig(n_freq, horizon) for n_freq in p["n_freqs"]]
-    grid = CandidateGrid(bases=bases, ranks=p["ranks"])
-    result = select(x, grid, PenaltyParams(lam=pen["lambda"], c_pen=pen["c_pen"],
-                                           noise_level=pen["noise_level"],
-                                           s=pen["s"]))
+    try:
+        params = PenaltyParams(lam=pen["lambda"], c_pen=pen["c_pen"],
+                               noise_level=pen["noise_level"], s=pen["s"])
+    except ValueError as exc:
+        raise ConfigError(f"penalty: {exc}") from exc
+    result = select(x, CandidateGrid(bases=bases, ranks=p["ranks"]), params)
     table = "tau,k,empirical_risk,penalty,score,chosen\n" + "".join(
         f"{row.tau},{row.k},{row.empirical_risk:.17g},"
-        f"{row.penalty:.17g},{row.score:.17g},{int(row.chosen)}\n"
+        f"{row.penalty:.17g},{row.score:.17g},{int(row is result.winner)}\n"
         for row in result.table)
     winner = _json_text({
         "chosen_tau": result.chosen_tau,
         "chosen_k": result.chosen_k,
         "noise_level": result.noise_level,
-        "score": min(r.score for r in result.table),
+        "score": result.winner.score,
     })
 
     _publish(out, {"table.csv": table, "winner.json": winner})
@@ -443,20 +445,31 @@ def _mean_risks(replicate, points, replications, threads):
     replication r on one pool; return the mean and std risk per point.
 
     The first error cancels the tasks not yet started; the error raised is
-    that of the earliest-submitted task that failed.
+    that of the earliest-submitted task that failed.  A pool thread that
+    cannot start cancels them too, and is a MemoryError unless a task that
+    ran failed first.
     """
+    tasks, unstarted = [], None
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        tasks = [pool.submit(replicate, point, i * replications + r)
-                 for i, point in enumerate(points)
-                 for r in range(replications)]
-        # One wake-up, at the first error or when all are done: waiting on
-        # each task in turn wakes this thread per task (~1000 context
-        # switches per smooth workload run on 2 cores).
-        wait(tasks, return_when=FIRST_EXCEPTION)
+        try:
+            for i, point in enumerate(points):
+                for r in range(replications):
+                    tasks.append(pool.submit(replicate, point,
+                                             i * replications + r))
+        except RuntimeError as exc:  # Thread.start: "can't start new thread"
+            unstarted = exc
+        else:
+            # One wake-up, at the first error or when all are done: waiting
+            # on each task in turn wakes this thread per task (~1000 context
+            # switches per smooth workload run on 2 cores).
+            wait(tasks, return_when=FIRST_EXCEPTION)
         pool.shutdown(cancel_futures=True)
     for task in tasks:
         if not task.cancelled() and task.exception() is not None:
             raise task.exception()
+    if unstarted is not None:
+        raise MemoryError(f"rate-check could not start a pool thread: "
+                          f"{unstarted}") from unstarted
     results = np.reshape([t.result() for t in tasks], (len(points), replications))
     return results.mean(axis=1), results.std(axis=1)
 

@@ -67,14 +67,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class CovarianceSummary:
-    """Row-covariance operator norm and its closed-form upper bound.
-
-    exact=False (AR(1)) means op_norm is root-found to machine precision by
-    bisection, not given in closed form.
-    """
+    """What `sigma_op_norm` returns."""
     op_norm: float   # operator norm of the row covariance
-    bound: float     # closed-form upper bound
-    exact: bool      # True when op_norm comes from an analytic formula
 
 
 def replication_seed(seed: int, replication: int) -> int:
@@ -208,33 +202,23 @@ def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:
 
 
 def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
-    """Operator norm of the row covariance plus its closed-form upper bound.
+    """Operator norm of the row covariance.
 
     iid and MA(1) values are analytic: the tridiagonal-Toeplitz eigenvalues
     sigma^2 (1 + theta^2 - 2 theta cos(l pi / (T+1))), l = 1..T, peak at
     l = 1 for theta < 0 and at l = T for theta > 0.  The AR(1) norm is the
     top Kac-Murdock-Szego eigenvalue (Kac, Murdock & Szego 1953), found by
     bisection on its scalar root equation in O(1) time in T, with no power
-    iteration; it is reported as exact=False against the bound
-    sigma^2 (1 + |rho|) / (1 - |rho|).
+    iteration.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     s2 = _variance(spec)
-    if spec.kind != "ar1":  # iid is MA(1) with theta = 0
-        th = spec.theta if spec.kind == "ma1" else 0.0
-        top = 1.0 + th ** 2 + 2.0 * abs(th) * math.cos(math.pi / (horizon + 1))
-        return CovarianceSummary(
-            op_norm=s2 * top,
-            bound=s2 * (1.0 + abs(th)) ** 2,
-            exact=True,
-        )
-    r = abs(spec.rho)
+    if spec.kind == "ar1":
+        return CovarianceSummary(s2 * _kms_top_eigenvalue(abs(spec.rho), horizon))
+    th = spec.theta if spec.kind == "ma1" else 0.0  # iid is MA(1) with theta = 0
     return CovarianceSummary(
-        op_norm=s2 * _kms_top_eigenvalue(r, horizon),
-        bound=s2 * (1.0 + r) / (1.0 - r),
-        exact=False,
-    )
+        s2 * (1.0 + th ** 2 + 2.0 * abs(th) * math.cos(math.pi / (horizon + 1))))
 
 
 def _kms_top_eigenvalue(r: float, horizon: int) -> float:

@@ -46,7 +46,7 @@ class PenaltyParams:
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must lie in (0, 1)")
+            raise ValueError(f"lambda must lie in (0, 1), got {self.lam!r}")
         if self.c_pen < 0:
             raise ValueError("c_pen must be nonnegative")
         if self.noise_level is not None and self.noise_level <= 0:
@@ -63,20 +63,22 @@ class ScoreRow:
     empirical_risk: float
     penalty: float
     score: float
-    chosen: bool = False
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    chosen_tau_index: int
-    chosen_k: int
+    winner: ScoreRow     # the table's row with the smallest score
     table: list[ScoreRow] = field(repr=False)
     fitted: FactorModel = field(repr=False)
     noise_level: float   # the level the penalties used
 
     @property
     def chosen_tau(self) -> int:
-        return self.table[[r.chosen for r in self.table].index(True)].tau
+        return self.winner.tau
+
+    @property
+    def chosen_k(self) -> int:
+        return self.winner.k
 
 
 def penalty(params: PenaltyParams, d: int, tau: int, k: int) -> float:
@@ -133,14 +135,9 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     if not table:
         raise ValueError("no feasible (basis, rank) pair on the grid")
     winner = min(table, key=lambda r: (r.score, r.k, r.tau))
-    table = [replace(r, chosen=True) if r is winner else r for r in table]
-    return SelectionResult(
-        chosen_tau_index=winner.basis_index,
-        chosen_k=winner.k,
-        table=table,
-        fitted=fit(x, grid.bases[winner.basis_index], winner.k),
-        noise_level=params.noise_level,
-    )
+    return SelectionResult(winner, table,
+                           fit(x, grid.bases[winner.basis_index], winner.k),
+                           params.noise_level)
 
 
 def _plug_in(x: np.ndarray, grid: CandidateGrid, profiles: dict) -> float:

@@ -70,7 +70,9 @@ class StructureBasis:
 
     @property
     def rows(self) -> np.ndarray:
-        """The dense tau x horizon matrix L, built on each access."""
+        """The dense tau x horizon matrix L, a new writable array on each access."""
+        if self.kind == "trig":
+            return _trig_rows(self.tau // 2, self.horizon).copy()
         return expand(np.eye(self.tau), self)
 
     def descriptor(self) -> dict:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -341,6 +342,7 @@ class TestSelect:
     @pytest.mark.parametrize("key, value", [
         ("lambda", "a"), ("c_pen", "2"), ("noise_level", float("nan")),
         ("noise_level", "1"), ("noise_level", None), ("s", float("inf")),
+        ("lambda", 1), ("lambda", 1.5),
     ])
     def test_mistyped_penalty_exits_2_without_output(self, tmp_path, capsys,
                                                      key, value):
@@ -349,7 +351,10 @@ class TestSelect:
                    "ranks": [1, 2],
                    "penalty": {"lambda": 0.5, "c_pen": 2.0, key: value}}
         code, out = run(tmp_path, "select", sel_cfg, "sel_bad")
-        assert_rejected(capsys, code, out)
+        err = assert_rejected(capsys, code, out)
+        in_range = key == "lambda" and isinstance(value, (int, float))
+        must = "lie in (0, 1)" if in_range else "be a finite number"
+        assert err == f"config error: penalty: {key} must {must}, got {value!r}\n"
 
     @pytest.mark.parametrize("key, value", [
         ("ranks", [1.5, 2]), ("ranks", []), ("taus", ["4"]), ("taus", 4),
@@ -1061,6 +1066,42 @@ def test_an_allocation_failure_exits_3_with_one_line(tmp_path, command, threads)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task_fails, line", [
+    (False, "out of memory: rate-check could not start a pool thread: "
+            "can't start new thread\n"),
+    (True, "numeric failure: overflow in the held task\n"),
+])
+def test_a_pool_thread_that_cannot_start_exits_3_with_one_line(
+        tmp_path, capsys, monkeypatch, task_fails, line):
+    # The first pool thread starts and holds its task, so the second task
+    # asks for a second thread, which cannot start.  A task that ran and
+    # failed before that is the error reported.
+    held, calls, starts = threading.Event(), [], []
+    replicate, start = cli._one_replication, threading.Thread.start
+
+    def hold(*args):
+        calls.append(args[-1])
+        held.wait(timeout=10)
+        if task_fails:
+            raise OverflowError("overflow in the held task")
+        return replicate(*args)
+
+    def start_once(thread):
+        starts.append(thread)
+        if len(starts) > 1:
+            held.set()
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(cli, "_one_replication", hold)
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    code, out = run(tmp_path, "rate-check", TestRateCheck().small_cfg(), "rate",
+                    threads=4)
+    assert assert_rejected(capsys, code, out, codes=(3,)) == line
+    # Of 12 tasks, only those the one thread took before the cancel ran.
+    assert len(starts) == 2 and len(calls) <= 2
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_failing_rate_check_stops_early(tmp_path, capsys, monkeypatch,
                                           threads):
@@ -1148,7 +1189,7 @@ class TestBlasThreadShare:
                 raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Broken)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(MemoryError):
             cli.cmd_rate_check(TestRateCheck().small_cfg(), tmp_path / "rate",
                                None, threads=2)
         assert blas() == self.START

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from strucfact import (NoiseSpec, build_identity, build_periodic, build_trig,
-                       covariance_matrix, replication_seed, sample_noise,
-                       sigma_op_norm)
+from strucfact import (CovarianceSummary, NoiseSpec, build_identity,
+                       build_periodic, build_trig, covariance_matrix,
+                       replication_seed, sample_noise, sigma_op_norm)
 from strucfact.noise import (draw_noise, filter_adjoint, filter_noise,
                              projected_noise_factor)
 
@@ -19,6 +19,12 @@ SPECS = [
     NoiseSpec("ar1", sigma=1.0, rho=0.6),
     NoiseSpec("ar1", sigma=2.0, rho=-0.8),
 ]
+
+
+def ar1_bound(sigma, rho):
+    """sigma^2 (1 + |rho|) / (1 - |rho|), the spectral density's maximum,
+    which bounds every AR(1) covariance norm."""
+    return sigma ** 2 * (1.0 + abs(rho)) / (1.0 - abs(rho))
 
 
 class TestNoiseSpec:
@@ -109,8 +115,7 @@ class TestCovarianceMatrix:
 
 class TestSigmaOpNorm:
     def test_iid(self):
-        summary = sigma_op_norm(NoiseSpec("iid", 2.0), 10)
-        assert summary.op_norm == 4.0 and summary.bound == 4.0 and summary.exact
+        assert sigma_op_norm(NoiseSpec("iid", 2.0), 10) == CovarianceSummary(4.0)
 
     def test_ma1_theta_one_t3(self):
         # tridiag(-1, 2, -1) eigenvalues are 2 - sqrt(2), 2, 2 + sqrt(2)
@@ -122,8 +127,7 @@ class TestSigmaOpNorm:
 
     def test_ar1_bound(self):
         summary = sigma_op_norm(NoiseSpec("ar1", 1.0, rho=0.5), 50)
-        assert summary.op_norm <= summary.bound == pytest.approx(3.0)
-        assert not summary.exact
+        assert summary.op_norm <= ar1_bound(1.0, 0.5) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("horizon", [3, 10, 50])
@@ -135,10 +139,10 @@ class TestSigmaOpNorm:
     def test_op_norm_below_bound_on_grid(self):
         for theta in np.linspace(-2.0, 2.0, 17):
             s = sigma_op_norm(NoiseSpec("ma1", 1.0, theta=float(theta)), 25)
-            assert s.op_norm <= s.bound * (1 + 1e-9)
+            assert s.op_norm <= (1.0 + abs(theta)) ** 2 * (1 + 1e-9)
         for rho in np.linspace(-0.94, 0.94, 17):
             s = sigma_op_norm(NoiseSpec("ar1", 1.0, rho=float(rho)), 25)
-            assert s.op_norm <= s.bound * (1 + 1e-9)
+            assert s.op_norm <= ar1_bound(1.0, rho) * (1 + 1e-9)
 
 
 class TestProjectedNoiseBound:
@@ -193,8 +197,8 @@ class TestAr1OpNormClosedForm:
         summary = sigma_op_norm(spec, 10 ** 5)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.05
-        assert summary.op_norm <= summary.bound
-        assert summary.op_norm == pytest.approx(summary.bound, rel=1e-5)
+        assert summary.op_norm <= ar1_bound(1.0, 0.9)
+        assert summary.op_norm == pytest.approx(ar1_bound(1.0, 0.9), rel=1e-5)
 
 
 class TestMa1OpNormClosedForm:
@@ -241,7 +245,7 @@ class TestIidIsMa1ThetaZero:
     def test_iid_op_norm_equals_ma1_theta_zero_exactly(self, sigma, horizon):
         iid = sigma_op_norm(NoiseSpec("iid", sigma), horizon)
         assert iid == sigma_op_norm(NoiseSpec("ma1", sigma, theta=0.0), horizon)
-        assert iid.op_norm == iid.bound == float(sigma) ** 2 and iid.exact
+        assert iid.op_norm == float(sigma) ** 2
 
     def test_iid_ignores_a_stray_theta(self):
         assert sigma_op_norm(NoiseSpec("iid", 0.7, theta=0.9), 12) \

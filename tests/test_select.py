@@ -1,12 +1,13 @@
+import dataclasses
 import importlib
 
 import numpy as np
 import pytest
 
 from strucfact import (CandidateGrid, NoiseSpec, PenaltyParams,
-                       build_periodic, build_trig, calibrate_noise_level,
-                       empirical_risk, expand, fit, penalty, predict, risk,
-                       sample_noise, select)
+                       SelectionResult, build_periodic, build_trig,
+                       calibrate_noise_level, empirical_risk, expand, fit,
+                       penalty, predict, risk, sample_noise, select)
 from strucfact import linalg
 from strucfact.noise import replication_seed
 
@@ -86,10 +87,9 @@ class TestSelect:
         params = PenaltyParams(lam=0.5, c_pen=2.0, noise_level=0.09)
         result = select(x, grid, params)
         best = min(r.score for r in result.table)
-        chosen = [r for r in result.table if r.chosen]
-        assert len(chosen) == 1 and chosen[0].score == best
+        assert result.winner in result.table and result.winner.score == best
         ties = sorted((r.k, r.tau) for r in result.table if r.score == best)
-        assert (chosen[0].k, chosen[0].tau) == ties[0]
+        assert (result.chosen_k, result.chosen_tau) == ties[0]
 
     def test_infeasible_pairs_skipped(self):
         _, x = periodic_instance(3, 12, tau=2, k=1, seed=3, sigma=0.1)
@@ -195,7 +195,7 @@ class TestResidualProfile:
         assert len(calls) == len(grid.bases) + 1  # one per basis + the refit
         np.testing.assert_array_equal(
             result.fitted.m_tilde_hat,
-            fit(x, grid.bases[result.chosen_tau_index],
+            fit(x, grid.bases[result.winner.basis_index],
                 result.chosen_k).m_tilde_hat)
 
         def no_fit(*args):
@@ -204,6 +204,17 @@ class TestResidualProfile:
         calls.clear()
         calibrate_noise_level(x, grid)
         assert len(calls) == 1
+
+    def test_the_winner_is_held_once(self):
+        x, grid = self.instance()
+        result = select(x, grid, PenaltyParams(lam=0.5, c_pen=2.0,
+                                               noise_level=None))
+        assert [f.name for f in dataclasses.fields(SelectionResult)] == [
+            "winner", "table", "fitted", "noise_level"]
+        assert sum(r is result.winner for r in result.table) == 1
+        assert (result.chosen_tau, result.chosen_k) == (result.winner.tau,
+                                                        result.winner.k)
+        assert result.fitted.basis is grid.bases[result.winner.basis_index]
 
 
 class TestPlugInSelect:
@@ -218,7 +229,6 @@ class TestPlugInSelect:
                                                noise_level=None))
         assert result.noise_level == expected.noise_level == level
         assert result.table == expected.table
-        assert result.chosen_tau_index == expected.chosen_tau_index
-        assert result.chosen_k == expected.chosen_k
+        assert result.winner == expected.winner
         np.testing.assert_array_equal(result.fitted.m_tilde_hat,
                                       expected.fitted.m_tilde_hat)

@@ -6,6 +6,7 @@ import pytest
 
 from strucfact import (StructureBasis, build_identity, build_periodic,
                        build_trig, expand, project)
+from strucfact import structure
 
 ALL_BASES = [
     build_identity(4),
@@ -180,7 +181,16 @@ class TestOperatorsMatchDense:
 
     @pytest.mark.parametrize("basis", ALL_BASES)
     def test_rows(self, basis):
-        assert_close(basis.rows, dense_reference(basis))
+        rows = basis.rows
+        assert_close(rows, dense_reference(basis))
+        # The same bytes as expanding the identity, in a new writable array:
+        # a trig basis copies its cached read-only table.
+        np.testing.assert_array_equal(rows, expand(np.eye(basis.tau), basis))
+        assert rows.flags.writeable
+        assert not np.shares_memory(rows, basis.rows)
+        if basis.kind == "trig":
+            assert not np.shares_memory(
+                rows, structure._trig_rows(basis.tau // 2, basis.horizon))
 
     def test_identity_and_periodic_allocate_no_dense_matrix(self):
         # A dense eye(4096) alone would take 134 MB.
