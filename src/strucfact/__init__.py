@@ -8,8 +8,8 @@ smooth factor generation on Sobolev ellipsoids, and penalized selection of
 from .errors import ConvergenceError
 from .estimator import FactorModel, empirical_risk, fit, predict, risk
 from .linalg import SvdResult, svd
-from .noise import (CovarianceSummary, NoiseSpec, covariance_matrix,
-                    replication_seed, sample_noise, sigma_op_norm)
+from .noise import (NoiseSpec, covariance_matrix, replication_seed,
+                    sample_noise, sigma_op_norm)
 from .select import (CandidateGrid, PenaltyParams, SelectionResult,
                      calibrate_noise_level, penalty, select)
 from .sobolev import (SmoothFactorSpec, bias_of_truncation,
@@ -21,8 +21,8 @@ __all__ = [
     "ConvergenceError",
     "FactorModel", "empirical_risk", "fit", "predict", "risk",
     "SvdResult", "svd",
-    "CovarianceSummary", "NoiseSpec", "covariance_matrix",
-    "replication_seed", "sample_noise", "sigma_op_norm",
+    "NoiseSpec", "covariance_matrix", "replication_seed", "sample_noise",
+    "sigma_op_norm",
     "CandidateGrid", "PenaltyParams", "SelectionResult",
     "calibrate_noise_level", "penalty", "select",
     "SmoothFactorSpec", "bias_of_truncation", "gen_smooth_dictionary",

@@ -162,22 +162,23 @@ def _parse(cfg, table: dict | tuple, where: str) -> dict:
     return parsed
 
 
+def _spec(section: str, make, **fields):
+    """make(**fields) for a parsed config section; a ValueError from the
+    spec's own checks becomes a ConfigError that names the section."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _smooth_spec(p: dict, horizon: int, where: str) -> sobolev.SmoothFactorSpec:
     """The parsed smooth section as a SmoothFactorSpec with p["k"] rows,
     checked against the horizon: T >= 2 n_terms + 2."""
-    smooth = sobolev.SmoothFactorSpec(k=p["k"], **p["smooth"])
+    smooth = _spec("smooth", sobolev.SmoothFactorSpec, k=p["k"], **p["smooth"])
     if horizon < 2 * smooth.n_terms + 2:
         raise ConfigError(f"{where}: T={horizon} must be >= 2 n_terms + 2 "
                           f"= {2 * smooth.n_terms + 2}")
     return smooth
-
-
-def _noise_spec(noise: dict) -> NoiseSpec:
-    """The parsed noise section as a NoiseSpec; its range checks name the section."""
-    try:
-        return NoiseSpec(**noise)
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
 
 
 # ---------- file I/O ----------
@@ -201,8 +202,8 @@ def _tiles(m: np.ndarray, period: int) -> tuple[np.ndarray, int]:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    """The CSV matrix at `path`; a malformed file or one without entries is a
-    ValueError that names `path`."""
+    """The CSV matrix at `path`; a malformed file, one without entries or one
+    with a NaN or infinity is a ValueError that names `path`."""
     with warnings.catch_warnings():  # numpy warns on a file without data
         warnings.simplefilter("ignore", UserWarning)
         try:
@@ -211,6 +212,8 @@ def read_matrix(path: str) -> np.ndarray:
             raise ValueError(f"{path}: {exc}") from None
     if m.size == 0:
         raise ValueError(f"{path} holds no matrix entries")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{path}: matrix entries must be finite (no NaN/Inf)")
     return m
 
 
@@ -294,7 +297,7 @@ def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
 def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     p = _parse(cfg, SIMULATE, "simulate")
     scenario, d, horizon, k = p["scenario"], p["d"], p["T"], p["k"]
-    spec = _noise_spec(p["noise"])
+    spec = _spec("noise", NoiseSpec, **p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
     smooth = _smooth_spec(p, horizon, "simulate") if scenario == "smooth" else None
 
@@ -302,7 +305,7 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
                                          tau=p.get("tau"), smooth=smooth)
     x = m + sample_noise(spec, d, horizon, replication_seed(seed, 1))
     manifest = _json_text({"config": cfg, "seed": seed,
-                           "noise_op_norm": sigma_op_norm(spec, horizon).op_norm})
+                           "noise_op_norm": sigma_op_norm(spec, horizon)})
 
     _publish(out, {"M.csv": _tiles(m, period), "X.csv": (x, 1),
                    "U.csv": (u, 1), "V.csv": (v, 1), "manifest.json": manifest})
@@ -349,11 +352,8 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
     horizon = x.shape[1]
     bases = [structure.build_periodic(tau, horizon) for tau in p["taus"]]
     bases += [structure.build_trig(n_freq, horizon) for n_freq in p["n_freqs"]]
-    try:
-        params = PenaltyParams(lam=pen["lambda"], c_pen=pen["c_pen"],
-                               noise_level=pen["noise_level"], s=pen["s"])
-    except ValueError as exc:
-        raise ConfigError(f"penalty: {exc}") from exc
+    params = _spec("penalty", PenaltyParams, lam=pen["lambda"], c_pen=pen["c_pen"],
+                   noise_level=pen["noise_level"], s=pen["s"])
     result = select(x, CandidateGrid(bases=bases, ranks=p["ranks"]), params)
     table = "tau,k,empirical_risk,penalty,score,chosen\n" + "".join(
         f"{row.tau},{row.k},{row.empirical_risk:.17g},"
@@ -485,7 +485,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
                    threads: int = 1) -> None:
     p = _parse(cfg, RATE_CHECK, "rate-check")
     scenario, d, k, reps = p["scenario"], p["d"], p["k"], p["replications"]
-    spec = _noise_spec(p["noise"])
+    spec = _spec("noise", NoiseSpec, **p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
 
     # One fit basis per point: a sweep over T, or the smooth scenario's cutoff
@@ -495,7 +495,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         horizon = p["T"]
         smooth = _smooth_spec(p, horizon, "rate-check")
         n_star = sobolev.optimal_cutoff(smooth.beta, p["c_beta_l"], d, horizon,
-                                        k, sigma_op_norm(spec, horizon).op_norm)
+                                        k, sigma_op_norm(spec, horizon))
         grid = sorted({max(1, n) for n in
                        (1, n_star // 2, n_star, 2 * n_star, 4 * n_star)
                        if 2 * max(1, n) < horizon})
@@ -515,7 +515,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
             raise ConfigError(f"rate-check: k={k} exceeds min(d, tau) = "
                               f"{min(d, basis.tau)} at T={horizon}")
         row = {"d": d, "T": horizon, "tau": basis.tau, "k": k}
-        rate = (sigma_op_norm(spec, horizon).op_norm
+        rate = (sigma_op_norm(spec, horizon)
                 * k * (d + basis.tau + p["s"]) / (d * horizon))
         if smooth is not None:
             row["n_freq"] = n_freq = basis.tau // 2

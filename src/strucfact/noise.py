@@ -63,12 +63,16 @@ class NoiseSpec:
             raise ValueError("sigma must be positive")
         if self.kind == "ar1" and not abs(self.rho) < 1:
             raise ValueError(f"rho must satisfy |rho| < 1 for ar1, got {self.rho!r}")
-
-
-@dataclass(frozen=True)
-class CovarianceSummary:
-    """What `sigma_op_norm` returns."""
-    op_norm: float   # operator norm of the row covariance
+        # sigma^2, and theta^2 for MA(1), scale every covariance and norm.
+        for name in ("sigma", "theta") if self.kind == "ma1" else ("sigma",):
+            value = getattr(self, name)
+            where = f"noise {name} = {value!r}: {name}^2"
+            try:
+                square = float(value) ** 2
+            except OverflowError:
+                raise OverflowError(f"{where} overflows") from None
+            if name == "sigma" and square == 0.0:
+                raise FloatingPointError(f"{where} underflows to 0")
 
 
 def replication_seed(seed: int, replication: int) -> int:
@@ -177,19 +181,11 @@ def projected_noise_factor(spec: NoiseSpec, rows) -> np.ndarray:
     return np.linalg.qr(scaled, mode="r")
 
 
-def _variance(spec: NoiseSpec) -> float:
-    """sigma^2, or an OverflowError that names sigma."""
-    try:
-        return float(spec.sigma) ** 2
-    except OverflowError:
-        raise OverflowError(f"noise sigma = {spec.sigma!r}: sigma^2 overflows") from None
-
-
 def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:
     """Exact T x T row covariance (symmetric PSD Toeplitz)."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    s2 = _variance(spec)
+    s2 = float(spec.sigma) ** 2
     if spec.kind == "ar1":
         first = spec.rho ** np.arange(horizon)
     else:  # iid is MA(1) with theta = 0
@@ -201,7 +197,7 @@ def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:
     return s2 * first[np.abs(idx[:, None] - idx[None, :])]
 
 
-def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
+def sigma_op_norm(spec: NoiseSpec, horizon: int) -> float:
     """Operator norm of the row covariance.
 
     iid and MA(1) values are analytic: the tridiagonal-Toeplitz eigenvalues
@@ -213,12 +209,11 @@ def sigma_op_norm(spec: NoiseSpec, horizon: int) -> CovarianceSummary:
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    s2 = _variance(spec)
+    s2 = float(spec.sigma) ** 2
     if spec.kind == "ar1":
-        return CovarianceSummary(s2 * _kms_top_eigenvalue(abs(spec.rho), horizon))
+        return s2 * _kms_top_eigenvalue(abs(spec.rho), horizon)
     th = spec.theta if spec.kind == "ma1" else 0.0  # iid is MA(1) with theta = 0
-    return CovarianceSummary(
-        s2 * (1.0 + th ** 2 + 2.0 * abs(th) * math.cos(math.pi / (horizon + 1))))
+    return s2 * (1.0 + th ** 2 + 2.0 * abs(th) * math.cos(math.pi / (horizon + 1)))
 
 
 def _kms_top_eigenvalue(r: float, horizon: int) -> float:

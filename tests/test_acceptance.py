@@ -62,14 +62,14 @@ def test_criterion_03_covariance_oracle_equivalence():
         for spec in (NoiseSpec("iid", 0.7),
                      NoiseSpec("ma1", 1.0, theta=1.0),
                      NoiseSpec("ma1", 0.5, theta=-0.8)):
-            closed = sigma_op_norm(spec, horizon).op_norm
+            closed = sigma_op_norm(spec, horizon)
             dense = np.linalg.eigvalsh(covariance_matrix(spec, horizon))[-1]
             ok &= abs(closed - dense) <= 1e-8 * dense
     for rho in (0.3, -0.3, 0.6, -0.6, 0.9, -0.9):
         spec = NoiseSpec("ar1", 1.0, rho=rho)
-        summary = sigma_op_norm(spec, 50)
+        op_norm = sigma_op_norm(spec, 50)
         bound = (1 + abs(rho)) / (1 - abs(rho))
-        ok &= summary.op_norm <= bound * (1 + 1e-9)
+        ok &= op_norm <= bound * (1 + 1e-9)
     report("3 covariance oracle equivalence (iid/MA closed form, AR bound)", ok)
 
 

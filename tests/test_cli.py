@@ -1054,6 +1054,36 @@ def test_overflow_in_a_pool_thread_exits_3_with_one_line(tmp_path, threads):
     assert not out.exists()
 
 
+def scenario_cfg(command: str, scenario: str) -> dict:
+    """A small simulate or rate-check config for `scenario`."""
+    if command == "simulate":
+        return sim_cfg(scenario)
+    rate = TestRateCheck().small_cfg()
+    return {"unstructured": rate,
+            "periodic": dict(rate, scenario="periodic", tau=4),
+            "smooth": dict(SMOOTH_RATE_CFG, smooth=SMOOTH_CFG)}[scenario]
+
+
+# NoiseSpec squares sigma, and theta for MA(1), before any work.  A child
+# process, since pytest's warning capture would hide a numpy RuntimeWarning.
+@pytest.mark.parametrize("noise, line", [
+    ({"kind": "iid", "sigma": 1e-300},
+     "numeric failure: noise sigma = 1e-300: sigma^2 underflows to 0"),
+    ({"kind": "ma1", "sigma": 0.5, "theta": 1e200},
+     "numeric failure: noise theta = 1e+200: theta^2 overflows"),
+], ids=["sigma-underflow", "theta-overflow"])
+@pytest.mark.parametrize("command, scenario", [
+    (command, scenario) for command in ("simulate", "rate-check")
+    for scenario in ("unstructured", "periodic", "smooth")])
+def test_a_noise_square_out_of_range_exits_3_with_one_line(
+        tmp_path, command, scenario, noise, line):
+    cfg = dict(scenario_cfg(command, scenario), noise=noise)
+    code, lines, out = run_child(tmp_path, command, cfg)
+    assert code == 3
+    assert lines == [line], lines
+    assert not out.exists()
+
+
 # d = 10**17 rows ask for about 1.4 EiB, more than any address space holds, so
 # the first allocation fails at once without touching memory.
 @pytest.mark.parametrize("command, threads", [
@@ -1234,8 +1264,9 @@ def test_csv_without_entries_is_a_config_error_naming_it(tmp_path, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n"],
-                         ids=["bad-value", "ragged"])
+@pytest.mark.parametrize("content", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n",
+                                     "1,2,3\n4,nan,6\n", "1,2,3\ninf,5,6\n"],
+                         ids=["bad-value", "ragged", "nan", "inf"])
 @pytest.mark.parametrize("command", ["fit", "select"])
 def test_malformed_csv_is_a_config_error_naming_it(tmp_path, capsys, command,
                                                    content):

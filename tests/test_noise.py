@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from strucfact import (CovarianceSummary, NoiseSpec, build_identity,
-                       build_periodic, build_trig, covariance_matrix,
-                       replication_seed, sample_noise, sigma_op_norm)
-from strucfact.noise import (draw_noise, filter_adjoint, filter_noise,
+from strucfact import (NoiseSpec, build_identity, build_periodic, build_trig,
+                       covariance_matrix, replication_seed, sample_noise,
+                       sigma_op_norm)
+from strucfact.noise import (KINDS, draw_noise, filter_adjoint, filter_noise,
                              projected_noise_factor)
 
 SPECS = [
@@ -39,6 +39,24 @@ class TestNoiseSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             NoiseSpec("arma", sigma=1.0)
+
+    @pytest.mark.parametrize("kind, field, value, error, message", [
+        *[pytest.param(kind, "sigma", 1e200, OverflowError,
+                       "noise sigma = 1e+200: sigma^2 overflows",
+                       id=f"{kind}-sigma-overflow") for kind in KINDS],
+        *[pytest.param(kind, "sigma", 1e-300, FloatingPointError,
+                       "noise sigma = 1e-300: sigma^2 underflows to 0",
+                       id=f"{kind}-sigma-underflow") for kind in KINDS],
+        pytest.param("ma1", "theta", 1e200, OverflowError,
+                     "noise theta = 1e+200: theta^2 overflows",
+                     id="ma1-theta-overflow"),
+    ])
+    def test_rejects_a_square_out_of_range(self, kind, field, value, error,
+                                           message):
+        with pytest.raises(error) as info:
+            NoiseSpec(kind, **{"sigma": 1.0, field: value})
+        assert isinstance(info.value, ArithmeticError)
+        assert str(info.value) == message
 
 
 class TestSampleNoise:
@@ -115,34 +133,33 @@ class TestCovarianceMatrix:
 
 class TestSigmaOpNorm:
     def test_iid(self):
-        assert sigma_op_norm(NoiseSpec("iid", 2.0), 10) == CovarianceSummary(4.0)
+        assert sigma_op_norm(NoiseSpec("iid", 2.0), 10) == 4.0
 
     def test_ma1_theta_one_t3(self):
         # tridiag(-1, 2, -1) eigenvalues are 2 - sqrt(2), 2, 2 + sqrt(2)
-        summary = sigma_op_norm(NoiseSpec("ma1", 1.0, theta=1.0), 3)
-        assert summary.op_norm == pytest.approx(2.0 + np.sqrt(2.0))
+        op_norm = sigma_op_norm(NoiseSpec("ma1", 1.0, theta=1.0), 3)
+        assert op_norm == pytest.approx(2.0 + np.sqrt(2.0))
         oracle = np.linalg.eigvalsh(
             covariance_matrix(NoiseSpec("ma1", 1.0, theta=1.0), 3))[-1]
-        assert summary.op_norm == pytest.approx(oracle, rel=1e-12)
+        assert op_norm == pytest.approx(oracle, rel=1e-12)
 
     def test_ar1_bound(self):
-        summary = sigma_op_norm(NoiseSpec("ar1", 1.0, rho=0.5), 50)
-        assert summary.op_norm <= ar1_bound(1.0, 0.5) == pytest.approx(3.0)
+        op_norm = sigma_op_norm(NoiseSpec("ar1", 1.0, rho=0.5), 50)
+        assert op_norm <= ar1_bound(1.0, 0.5) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("horizon", [3, 10, 50])
     def test_matches_dense_eigensolver(self, spec, horizon):
-        summary = sigma_op_norm(spec, horizon)
         oracle = np.linalg.eigvalsh(covariance_matrix(spec, horizon))[-1]
-        assert summary.op_norm == pytest.approx(oracle, rel=1e-8)
+        assert sigma_op_norm(spec, horizon) == pytest.approx(oracle, rel=1e-8)
 
     def test_op_norm_below_bound_on_grid(self):
         for theta in np.linspace(-2.0, 2.0, 17):
             s = sigma_op_norm(NoiseSpec("ma1", 1.0, theta=float(theta)), 25)
-            assert s.op_norm <= (1.0 + abs(theta)) ** 2 * (1 + 1e-9)
+            assert s <= (1.0 + abs(theta)) ** 2 * (1 + 1e-9)
         for rho in np.linspace(-0.94, 0.94, 17):
             s = sigma_op_norm(NoiseSpec("ar1", 1.0, rho=float(rho)), 25)
-            assert s.op_norm <= ar1_bound(1.0, rho) * (1 + 1e-9)
+            assert s <= ar1_bound(1.0, rho) * (1 + 1e-9)
 
 
 class TestProjectedNoiseBound:
@@ -158,7 +175,7 @@ class TestProjectedNoiseBound:
         emp_cov = proj.T @ proj / proj.shape[0]
         emp_op = np.linalg.eigvalsh(emp_cov)[-1]
         # L^T / c contracts the covariance operator norm by 1 / c.
-        bound = sigma_op_norm(spec, basis.horizon).op_norm / basis.gram_constant
+        bound = sigma_op_norm(spec, basis.horizon) / basis.gram_constant
         assert emp_op <= bound * 1.1
 
 
@@ -174,7 +191,8 @@ class TestNoiseSpecValues:
         with pytest.raises(ValueError, match=field):
             NoiseSpec("ar1", **kwargs)
 
-    @pytest.mark.parametrize("sigma", [1, np.float64(0.5), np.int64(2)])
+    @pytest.mark.parametrize("sigma", [1, np.float64(0.5), np.int64(2),
+                                       1e-160, 1e154])
     def test_accepts_real_numbers(self, sigma):
         assert NoiseSpec("ma1", sigma=sigma, theta=0.3).sigma == sigma
 
@@ -185,20 +203,20 @@ class TestAr1OpNormClosedForm:
     def test_matches_dense_eigvalsh(self, rho, horizon):
         spec = NoiseSpec("ar1", sigma=1.5, rho=rho)
         oracle = np.linalg.eigvalsh(covariance_matrix(spec, horizon))[-1]
-        assert sigma_op_norm(spec, horizon).op_norm == pytest.approx(oracle, rel=1e-11)
+        assert sigma_op_norm(spec, horizon) == pytest.approx(oracle, rel=1e-11)
 
     def test_horizon_one_is_marginal_variance(self):
-        assert sigma_op_norm(NoiseSpec("ar1", 2.0, rho=0.7), 1).op_norm == 4.0
+        assert sigma_op_norm(NoiseSpec("ar1", 2.0, rho=0.7), 1) == 4.0
 
     def test_long_horizon_is_fast_and_below_bound(self):
         spec = NoiseSpec("ar1", sigma=1.0, rho=0.9)
         sigma_op_norm(spec, 100)  # warm-up
         start = time.perf_counter()
-        summary = sigma_op_norm(spec, 10 ** 5)
+        op_norm = sigma_op_norm(spec, 10 ** 5)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.05
-        assert summary.op_norm <= ar1_bound(1.0, 0.9)
-        assert summary.op_norm == pytest.approx(ar1_bound(1.0, 0.9), rel=1e-5)
+        assert op_norm <= ar1_bound(1.0, 0.9)
+        assert op_norm == pytest.approx(ar1_bound(1.0, 0.9), rel=1e-5)
 
 
 class TestMa1OpNormClosedForm:
@@ -207,7 +225,7 @@ class TestMa1OpNormClosedForm:
     def test_matches_dense_eigvalsh(self, theta, horizon):
         spec = NoiseSpec("ma1", sigma=1.5, theta=theta)
         oracle = np.linalg.eigvalsh(covariance_matrix(spec, horizon))[-1]
-        assert sigma_op_norm(spec, horizon).op_norm == pytest.approx(oracle, rel=1e-12)
+        assert sigma_op_norm(spec, horizon) == pytest.approx(oracle, rel=1e-12)
 
     def test_long_horizon_allocates_no_arrays(self):
         spec = NoiseSpec("ma1", sigma=1.0, theta=0.6)
@@ -245,11 +263,18 @@ class TestIidIsMa1ThetaZero:
     def test_iid_op_norm_equals_ma1_theta_zero_exactly(self, sigma, horizon):
         iid = sigma_op_norm(NoiseSpec("iid", sigma), horizon)
         assert iid == sigma_op_norm(NoiseSpec("ma1", sigma, theta=0.0), horizon)
-        assert iid.op_norm == float(sigma) ** 2
+        assert iid == float(sigma) ** 2
 
     def test_iid_ignores_a_stray_theta(self):
         assert sigma_op_norm(NoiseSpec("iid", 0.7, theta=0.9), 12) \
             == sigma_op_norm(NoiseSpec("iid", 0.7), 12)
+
+    @pytest.mark.parametrize("kind", ["iid", "ar1"])
+    def test_a_stray_theta_is_never_squared(self, kind):
+        spec = NoiseSpec(kind, 0.7, theta=1e200, rho=0.5 if kind == "ar1" else 0.0)
+        assert sigma_op_norm(spec, 12) == sigma_op_norm(
+            NoiseSpec(kind, 0.7, rho=spec.rho), 12)
+        assert type(sigma_op_norm(spec, 12)) is float
 
 
 ADJOINT_SPECS = [
