@@ -24,16 +24,18 @@ tau x tau factor of its row covariance L Sigma L^T / c^2, built once per
 point by noise.projected_noise_factor (which runs the AR(1) filter over the
 tau rows of L, never over a sample).  An identity basis takes a noise sample
 as it is and a periodic basis projects one, which costs O(d T).
-The first replication to fail cancels those not yet started.
+Each pool thread runs one task that takes replication indices from one counter;
+all stop at a replication that raises, a pool thread that cannot start, or Ctrl-C.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory,
-4 I/O error.
+4 I/O error, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
 import argparse
 import ctypes
 import functools
+import itertools
 import json
 import math
 import os
@@ -41,7 +43,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +147,8 @@ def _parse(cfg, table: dict | tuple, where: str) -> dict:
         if kind is int:
             ok = _is_int(value)
         elif kind is float:
-            ok = _is_int(value) or isinstance(value, float) and math.isfinite(value)
+            ok = (abs(value) <= sys.float_info.max if _is_int(value)
+                  else isinstance(value, float) and math.isfinite(value))
         elif kind is list:
             ok = (isinstance(value, list) and all(map(_is_int, value))
                   and (value or default == []))
@@ -441,37 +444,38 @@ def _bundled_openblas():
 
 
 def _mean_risks(replicate, points, replications, threads):
-    """Run replicate(point i, i * replications + r) for every point i and
-    replication r on one pool; return the mean and std risk per point.
+    """Mean and std risk per point of replicate(point i, i * replications + r)
+    over the replications r, run by min(threads, tasks) tasks on one pool.
 
-    The first error cancels the tasks not yet started; the error raised is
-    that of the earliest-submitted task that failed.  A pool thread that
-    cannot start cancels them too, and is a MemoryError unless a task that
-    ran failed first.
-    """
-    tasks, unstarted = [], None
+    The tasks take indices from one counter until a failure is recorded: a
+    replication's error (the lowest index's is raised), a pool thread that
+    cannot start (a MemoryError, ranked last) or an interrupt, re-raised."""
+    risks, failed = np.empty((len(points), replications)), {}
+    indices = itertools.count()  # no lock: its C __next__ is atomic under the GIL
+
+    def task():
+        for idx in indices:
+            if failed or idx >= risks.size:
+                return
+            try:
+                risks.flat[idx] = replicate(points[idx // replications], idx)
+            except BaseException as exc:
+                failed[idx] = exc
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
-            for i, point in enumerate(points):
-                for r in range(replications):
-                    tasks.append(pool.submit(replicate, point,
-                                             i * replications + r))
+            for _ in range(min(threads, risks.size)):
+                pool.submit(task)
+            pool.shutdown()  # the join that Ctrl-C interrupts
         except RuntimeError as exc:  # Thread.start: "can't start new thread"
-            unstarted = exc
-        else:
-            # One wake-up, at the first error or when all are done: waiting
-            # on each task in turn wakes this thread per task (~1000 context
-            # switches per smooth workload run on 2 cores).
-            wait(tasks, return_when=FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
-    for task in tasks:
-        if not task.cancelled() and task.exception() is not None:
-            raise task.exception()
-    if unstarted is not None:
-        raise MemoryError(f"rate-check could not start a pool thread: "
-                          f"{unstarted}") from unstarted
-    results = np.reshape([t.result() for t in tasks], (len(points), replications))
-    return results.mean(axis=1), results.std(axis=1)
+            failed[risks.size] = MemoryError(
+                f"rate-check could not start a pool thread: {exc}")
+        except BaseException as exc:  # Ctrl-C: each task ends its replication
+            failed[-1] = exc
+            raise
+    if failed:
+        raise failed[min(failed)]
+    return risks.mean(axis=1), risks.std(axis=1)
 
 
 def _loglog_slope(rates, means):
@@ -612,6 +616,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

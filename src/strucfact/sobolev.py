@@ -102,5 +102,6 @@ def optimal_cutoff(beta: int, c_beta_l: float, d: int, horizon: int,
     if min(beta, d, horizon, k) < 1 or c_beta_l <= 0 or sigma_op <= 0:
         raise ValueError("all arguments must be positive")
     raw = (d * horizon * c_beta_l / (sigma_op * k)) ** (1.0 / (2 * beta + 1))
-    n = int(np.floor(raw * (1.0 + 1e-12)))  # guard against 9.999... artifacts
+    # min first: raw is inf for a tiny sigma_op; 1e-12 guards against 9.999...
+    n = int(np.floor(min(raw, horizon) * (1.0 + 1e-12)))
     return max(1, min(n, (horizon - 1) // 2))

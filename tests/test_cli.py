@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -343,6 +344,9 @@ class TestSelect:
         ("lambda", "a"), ("c_pen", "2"), ("noise_level", float("nan")),
         ("noise_level", "1"), ("noise_level", None), ("s", float("inf")),
         ("lambda", 1), ("lambda", 1.5),
+        # An integer too large for a float.
+        pytest.param("c_pen", 10**400, id="c_pen-10**400"),
+        pytest.param("s", -10**400, id="s--10**400"),
     ])
     def test_mistyped_penalty_exits_2_without_output(self, tmp_path, capsys,
                                                      key, value):
@@ -623,7 +627,11 @@ class TestNoiseConfigErrors:
                    {"kind": "iid", "sigma": 1.0, "theta": 0.5},
                    {"kind": "ma1", "sigma": 1.0, "rho": 0.5}]
 
-    @pytest.mark.parametrize("noise", BAD_NOISE + STRAY_NOISE)
+    @pytest.mark.parametrize("noise", BAD_NOISE + STRAY_NOISE + [
+        # An integer too large for a float.
+        pytest.param({"kind": "iid", "sigma": 10**400}, id="sigma-10**400"),
+        pytest.param({"kind": "ar1", "sigma": 1, "rho": -10**400},
+                     id="rho--10**400")])
     def test_simulate_exits_2_without_output(self, tmp_path, capsys, noise):
         code, out = run(tmp_path, "simulate", dict(SIM_CFG, noise=noise), "sim")
         assert code == 2
@@ -1084,6 +1092,17 @@ def test_a_noise_square_out_of_range_exits_3_with_one_line(
     assert not out.exists()
 
 
+def test_a_tiny_sigma_clamps_the_smooth_cutoff(tmp_path):
+    # sigma^2 = 1e-320 is subnormal but positive, and the formula for N*
+    # overflows to inf before its clamp to (T - 1) // 2.
+    cfg = dict(scenario_cfg("rate-check", "smooth"),
+               noise={"kind": "iid", "sigma": 1e-160})
+    code, lines, out = run_child(tmp_path, "rate-check", cfg)
+    assert (code, lines) == (0, [])
+    report = json.loads((out / "rate_report.json").read_text())
+    assert report["optimal_cutoff"] == (cfg["T"] - 1) // 2
+
+
 # d = 10**17 rows ask for about 1.4 EiB, more than any address space holds, so
 # the first allocation fails at once without touching memory.
 @pytest.mark.parametrize("command, threads", [
@@ -1168,6 +1187,118 @@ def test_mean_risks_raises_the_earliest_submitted_error(threads):
     with pytest.raises(ArithmeticError, match="^replication 3$"):
         cli._mean_risks(replicate, [None] * 4, 50, threads)
     assert len(calls) < 200
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4, 8])
+def test_mean_risks_runs_one_task_per_thread(monkeypatch, threads):
+    submits, seen = [], []
+
+    class Counting(cli.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(args)
+            return super().submit(*args, **kwargs)
+
+    def replicate(point, idx):
+        seen.append(idx)
+        return point + idx
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Counting)
+    points = [0.0, 1e3, 2e3, 3e3]
+    # Switching threads as often as it can, so that a lost or repeated index
+    # of a counter that is not atomic would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        means, stds = cli._mean_risks(replicate, points, 50, threads)
+    finally:
+        sys.setswitchinterval(interval)
+    # One task per thread, not one per replication (200).
+    assert len(submits) <= threads
+    assert sorted(seen) == list(range(200))
+    risks = np.arange(200.0).reshape(4, 50) + np.array(points)[:, None]
+    assert means.tolist() == risks.mean(axis=1).tolist()
+    assert stds.tolist() == risks.std(axis=1).tolist()
+
+
+# A fresh process: ru_maxrss is the peak of the whole process so far.
+RSS_PROBE = """
+import resource
+from strucfact import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cli._mean_risks(lambda point, idx: 1.0, [None] * 4, 25000, 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kilobytes")
+def test_mean_risks_holds_no_object_per_replication():
+    result = subprocess.run([sys.executable, "-c", RSS_PROBE], timeout=60,
+                            env=_package_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # A future per replication grew it by about 176 MB.
+    assert int(result.stdout) < 10_000
+
+
+# Prints one line once the first replication starts, and sleeps in each one
+# so that the run outlasts the test by far.  Python's own SIGINT handler is
+# installed even where this process was started with SIGINT ignored.
+INTERRUPT_PROBE = """
+import signal, sys, time
+from strucfact import cli
+signal.signal(signal.SIGINT, signal.default_int_handler)
+replicate, started = cli._one_replication, []
+
+def slow(*args):
+    if not started:
+        started.append(True)
+        print("started", flush=True)
+    time.sleep(0.01)
+    return replicate(*args)
+
+cli._one_replication = slow
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ctrl_c_stops_a_rate_check_with_one_line(tmp_path, threads):
+    cfg_path, out = tmp_path / "rate.json", tmp_path / "out"
+    # 8000 replications of at least 10 ms: 40 s or more on 2 threads.
+    cfg_path.write_text(json.dumps(dict(TestRateCheck().small_cfg(),
+                                        replications=2000)))
+    child = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPT_PROBE, "rate-check", "--config",
+         str(cfg_path), "--out", str(out), "--threads", str(threads)],
+        env=_package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        assert child.stdout.readline() == "started\n"
+        child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=5)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == 130
+    assert err.splitlines() == ["interrupted"], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "rate-check"])
+def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch,
+                                              command):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, command, interrupt)
+    monkeypatch.setattr(cli, "cmd_rate_check", interrupt)
+    try:
+        code, out = run(tmp_path, command, command_cfg(command), "out")
+    except KeyboardInterrupt:  # would end the whole test session
+        pytest.fail("main let KeyboardInterrupt through")
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not out.exists()
 
 
 class TestBlasThreadShare:

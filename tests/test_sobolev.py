@@ -89,6 +89,10 @@ class TestOptimalCutoff:
     def test_huge_noise_clamps_to_one(self):
         assert optimal_cutoff(2, 1.0, 4, 8, 1, 1e12) == 1
 
+    def test_tiny_noise_clamps_to_half_horizon(self):
+        # 6 * 64 / 1e-320 overflows to inf before the clamp.
+        assert optimal_cutoff(2, 1.0, 6, 64, 1, 1e-320) == 31
+
     def test_exact_cube(self):
         # ratio 1000, beta = 1 -> floor(1000^(1/3)) = 10
         assert optimal_cutoff(1, 1.0, 10, 100, 1, 1.0) == 10
