@@ -157,10 +157,15 @@ def _parse(cfg, table: dict | tuple, where: str) -> dict:
         if not ok:
             raise ConfigError(f"{where}: {key} must be {TYPE_NAMES[kind]}, "
                               f"got {value!r}")
-        if minimum is not None and any(
-                v < minimum for v in (value if kind is list else [value])):
+        values = value if kind is list else [value]
+        if minimum is not None and any(v < minimum for v in values):
             bound = "> 0" if minimum is POSITIVE else f">= {minimum}"
             raise ConfigError(f"{where}: {key} must be {bound}, got {value!r}")
+        # Sizes and counts must fit numpy's index type; a seed may be any
+        # non-negative int, because SeedSequence takes one.
+        if kind in (int, list) and key != "seed" and any(
+                v > sys.maxsize for v in values):
+            raise ConfigError(f"{where}: {key} must be <= {sys.maxsize}, got {value!r}")
         parsed[key] = value
     return parsed
 

@@ -1,5 +1,5 @@
-"""Row-wise dependent noise: samplers, their filter adjoint, covariance
-matrices, operator norms.
+"""Row-wise dependent noise: a sampler, the factor of its projection,
+covariance matrices, operator norms.
 
 Rows of the noise matrix are i.i.d. copies of a stationary Gaussian scalar
 process observed at t = 1..T: white noise, MA(1) eps_t = eta_t - theta
@@ -15,18 +15,15 @@ roots th of f(th) = sin((T+1) th) - 2 r sin(T th) + r^2 sin((T-1) th), and
 the top one comes from the smallest root, which bisection finds in O(1) time
 in T.
 
-A sample is two steps: `draw_noise` makes the Gaussian draws (the
-innovations, plus each row's start), and `filter_noise` runs the causal
-filter F of the spec over them, so a sample is draws @ F^T.  Its adjoint,
-`filter_adjoint`, takes a tau x T set of rows L to L F, so the projected
-noise sample_noise(...) @ L^T is draws @ (L F)^T: a filter over tau rows
-built once in place of one over every sampled d x T matrix.  The draws are
-independent with standard deviations s, so each row of that projected noise
-is N(0, S) with S = L Sigma L^T = (diag(s) (L F)^T)^T (diag(s) (L F)^T), and
-`projected_noise_factor` returns the tau x tau triangular factor R of a QR
-of diag(s) (L F)^T.  z @ R for a d x tau standard normal z then has the law
-of the projected noise: d tau normals instead of d (T + 1), and the AR(1)
-scan runs once, over the tau rows, inside the factor.
+`sample_noise` runs the causal filter F of the spec over Gaussian draws (the
+innovations, plus each row's start), so a sample is draws @ F^T.  The
+projected noise sample_noise(...) @ L^T for a tau x T set of rows L is then
+draws @ (L F)^T.  The draws are independent with standard deviations s, so
+each row of it is N(0, S) with S = L Sigma L^T = A^T A for
+A = diag(s) (L F)^T, and `projected_noise_factor` returns the tau x tau
+triangular factor R of a QR of A.  z @ R for a d x tau standard normal z
+then has the law of the projected noise: d tau normals instead of d (T + 1),
+and the adjoint filter runs once, over the tau rows, inside the factor.
 
 Reproducibility contract: sampling is a pure function of (spec, d, horizon,
 seed), using numpy's PCG64 generator.  Parallel replications must derive
@@ -81,7 +78,7 @@ def replication_seed(seed: int, replication: int) -> int:
 
 
 def _draw_scales(spec: NoiseSpec, horizon: int) -> np.ndarray:
-    """Standard deviation of each column of `draw_noise`'s draws: sigma, but
+    """Standard deviation of each column of `sample_noise`'s draws: sigma, but
     sigma sqrt(1 - rho^2) for the AR(1) innovations after the start column."""
     if spec.kind == "iid":
         return np.full(horizon, spec.sigma)
@@ -91,14 +88,26 @@ def _draw_scales(spec: NoiseSpec, horizon: int) -> np.ndarray:
     return scales
 
 
-def draw_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
-    """The Gaussian draws behind `sample_noise`, before its causal filter.
+def _ar1_scan(y: np.ndarray, rho: float) -> None:
+    """y_t += rho y_{t-1} along each row, in place, as a log-depth doubling
+    scan: after the pass with shift s, column t holds sum_{j < 2s} rho^j
+    (column t - j)."""
+    shift, coef = 1, rho
+    while shift < y.shape[1] and coef != 0.0:
+        y[:, shift:] += coef * y[:, :-shift]
+        shift, coef = 2 * shift, coef * coef
 
-    iid noise is its own draws (d x horizon).  MA(1) and AR(1) draws are
-    d x (horizon + 1): column 0 is each row's start (the burn-in innovation
-    eta_0, or the AR(1) value at t = 0 from the stationary law N(0, sigma^2))
-    and columns 1..horizon are the innovations, AR(1)'s scaled by
-    sqrt(1 - rho^2) so the marginal variance is sigma^2.
+
+def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
+    """Draw a d x horizon noise matrix with i.i.d. rows, deterministic in seed.
+
+    iid noise is its own draws.  MA(1) and AR(1) draw d x (horizon + 1):
+    column 0 is each row's start (the burn-in innovation eta_0, or the AR(1)
+    value at t = 0 from the stationary law N(0, sigma^2)) and columns
+    1..horizon are the innovations, AR(1)'s scaled by sqrt(1 - rho^2) so the
+    marginal variance is sigma^2.  The causal filter F of the spec then
+    makes the sample draws @ F^T: eps_t = eta_t - theta eta_{t-1}, or
+    eps_t = rho eps_{t-1} + eta_t.
     """
     if d < 1 or horizon < 1:
         raise ValueError("d and horizon must be positive")
@@ -116,23 +125,6 @@ def draw_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
             draws[:, :1] = rng.standard_normal((d, 1))
             draws[:, 1:] = rng.standard_normal((d, horizon))
     draws *= _draw_scales(spec, horizon)
-    return draws
-
-
-def _ar1_scan(y: np.ndarray, rho: float) -> None:
-    """y_t += rho y_{t-1} along each row, in place, as a log-depth doubling
-    scan: after the pass with shift s, column t holds sum_{j < 2s} rho^j
-    (column t - j)."""
-    shift, coef = 1, rho
-    while shift < y.shape[1] and coef != 0.0:
-        y[:, shift:] += coef * y[:, :-shift]
-        shift, coef = 2 * shift, coef * coef
-
-
-def filter_noise(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
-    """The noise made from `draw_noise`'s draws: eps = draws @ F^T for the
-    causal filter F of the spec.  MA(1) is eps_t = eta_t - theta eta_{t-1};
-    AR(1) is eps_t = rho eps_{t-1} + eta_t.  Overwrites AR(1) draws."""
     if spec.kind == "iid":
         return draws
     if spec.kind == "ma1":
@@ -141,44 +133,31 @@ def filter_noise(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
     return draws[:, 1:]
 
 
-def filter_adjoint(spec: NoiseSpec, rows) -> np.ndarray:
-    """Each row l of the tau x horizon `rows` through the adjoint filter: l F.
-
-    So sample_noise(...) @ rows.T equals draws @ filter_adjoint(spec, rows).T
-    for the draws it is made from.  The AR(1) adjoint is the reverse-time scan
-    z_j = l_j + rho z_{j+1} over the row with l_0 = 0 in front; it costs
-    O(tau horizon log horizon) and holds a few tau x (horizon + 1) arrays.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if spec.kind == "iid":
-        return rows.copy()
-    z = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    z[:, 1:] = rows
-    if spec.kind == "ma1":
-        z[:, :-1] -= spec.theta * rows
-    else:
-        _ar1_scan(z[:, ::-1], spec.rho)
-    return z
-
-
-def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray:
-    """Draw a d x horizon noise matrix with i.i.d. rows, deterministic in seed:
-    the causal filter of the spec applied to its draws."""
-    return filter_noise(spec, draw_noise(spec, d, horizon, seed))
-
-
 def projected_noise_factor(spec: NoiseSpec, rows) -> np.ndarray:
     """Upper-triangular tau x tau R with R^T R = rows Sigma rows^T.
 
     That is the covariance of each row of the projected noise
     sample_noise(...) @ rows.T, so z @ R for a d x tau standard normal z has
     its law (module docstring).  R is the triangle of a QR of
-    diag(s) filter_adjoint(spec, rows)^T, for the scales s of the draws; no
-    covariance is formed, so no Cholesky squares its condition number.
+    diag(s) (rows F)^T, for the scales s of the draws; no covariance is
+    formed, so no Cholesky squares its condition number.  The adjoint filter
+    takes each row l to l F: the row itself for iid, and otherwise the row
+    with l_0 = 0 in front, through z_j = l_j - theta l_{j+1} for MA(1) or the
+    reverse-time scan z_j = l_j + rho z_{j+1} for AR(1).  It is scaled in
+    place, so the QR's copy is the only other tau x (T + 1) array.
     """
     rows = np.asarray(rows, dtype=float)
-    scaled = filter_adjoint(spec, rows).T * _draw_scales(spec, rows.shape[1])[:, None]
-    return np.linalg.qr(scaled, mode="r")
+    if spec.kind == "iid":
+        adjoint = rows.copy()
+    else:
+        adjoint = np.zeros((rows.shape[0], rows.shape[1] + 1))
+        adjoint[:, 1:] = rows
+        if spec.kind == "ma1":
+            adjoint[:, :-1] -= spec.theta * rows
+        else:
+            _ar1_scan(adjoint[:, ::-1], spec.rho)
+    adjoint *= _draw_scales(spec, rows.shape[1])
+    return np.linalg.qr(adjoint.T, mode="r")
 
 
 def covariance_matrix(spec: NoiseSpec, horizon: int) -> np.ndarray:

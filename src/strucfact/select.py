@@ -124,30 +124,34 @@ def select(x, grid: CandidateGrid, params: PenaltyParams) -> SelectionResult:
     d = x.shape[0]
     profiles = {bi: _residuals(x, basis) for bi, basis in enumerate(grid.bases)
                 if grid.ranks[0] <= min(d, basis.tau)}
+    if not profiles:
+        raise ValueError("no feasible (basis, rank) pair on the grid")
     if params.noise_level is None:
-        params = replace(params, noise_level=_plug_in(x, grid, profiles))
+        # Feasibility grows with tau, so the largest basis has a profile.
+        largest = max(profiles, key=lambda bi: grid.bases[bi].tau)
+        level = _plug_in(x, grid.ranks, profiles[largest])
+        if level == 0.0:
+            raise ValueError("noise_level must be positive, but the plug-in (the "
+                             "residual variance of the grid's largest model) is 0; "
+                             "give noise_level or shrink the grid")
+        params = replace(params, noise_level=level)
     table: list[ScoreRow] = []
     for bi, resid in profiles.items():
         tau = grid.bases[bi].tau
         for k in [k for k in grid.ranks if k <= min(d, tau)]:
             er, pen = float(resid[k]), penalty(params, d, tau, k)
             table.append(ScoreRow(bi, tau, k, er, pen, er + pen))
-    if not table:
-        raise ValueError("no feasible (basis, rank) pair on the grid")
     winner = min(table, key=lambda r: (r.score, r.k, r.tau))
     return SelectionResult(winner, table,
                            fit(x, grid.bases[winner.basis_index], winner.k),
                            params.noise_level)
 
 
-def _plug_in(x: np.ndarray, grid: CandidateGrid, profiles: dict) -> float:
-    """||X - fitted||_F^2 / (d T) of the largest model on the grid (max tau,
-    max feasible k); `profiles` may hold its basis's residual profile."""
+def _plug_in(x: np.ndarray, ranks: list[int], resid: np.ndarray) -> float:
+    """||X - fitted||_F^2 / (d T) of the largest feasible rank of one basis,
+    read from its residual profile `resid` (ranks 0..min(d, tau))."""
     d, t = x.shape
-    bi = max(range(len(grid.bases)), key=lambda i: grid.bases[i].tau)
-    basis = grid.bases[bi]
-    resid = profiles[bi] if bi in profiles else _residuals(x, basis)
-    return float(resid[min(max(grid.ranks), d, basis.tau)] / (d * t))
+    return float(resid[min(max(ranks), len(resid) - 1)] / (d * t))
 
 
 def calibrate_noise_level(x, grid: CandidateGrid) -> float:
@@ -156,4 +160,5 @@ def calibrate_noise_level(x, grid: CandidateGrid) -> float:
     Takes the largest model on the grid (max tau, max feasible k) and returns
     its residual ||X - fitted||_F^2 / (d T).
     """
-    return _plug_in(as_matrix(x), grid, {})
+    x = as_matrix(x)
+    return _plug_in(x, grid.ranks, _residuals(x, max(grid.bases, key=lambda b: b.tau)))

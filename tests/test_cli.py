@@ -338,7 +338,28 @@ class TestSelect:
         code, out = run(tmp_path, "select", sel_cfg, "sel_zero")
         assert code == 2
         assert not out.exists()
-        assert "noise_level must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "noise_level must be positive" in err
+        assert "plug-in" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("penalty", [
+        {"lambda": 0.5, "c_pen": 2.0},
+        {"lambda": 0.5, "c_pen": 2.0, "noise_level": 0.25}],
+        ids=["plug-in", "noise_level"])
+    def test_infeasible_grid_exits_2_before_any_svd(self, tmp_path, capsys,
+                                                     monkeypatch, penalty):
+        # Every rank exceeds d = 6, so no (basis, rank) pair is feasible.
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        capsys.readouterr()
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(1) or svd(a))
+        sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4, 24], "ranks": [7],
+                   "penalty": penalty}
+        code, out = run(tmp_path, "select", sel_cfg, "sel_infeasible")
+        err = assert_rejected(capsys, code, out)
+        assert err == "config error: no feasible (basis, rank) pair on the grid\n"
+        assert calls == []
 
     @pytest.mark.parametrize("key, value", [
         ("lambda", "a"), ("c_pen", "2"), ("noise_level", float("nan")),
@@ -661,6 +682,37 @@ class TestNoiseConfigErrors:
         assert not out.exists()
         assert capsys.readouterr().err == (
             "config error: noise: rho must satisfy |rho| < 1 for ar1, got 1.5\n")
+
+
+@pytest.mark.parametrize("command, key, value", [
+    *[pytest.param("simulate", key, 10**400, id=f"simulate-{key}")
+      for key in ("T", "d", "k", "tau")],
+    pytest.param("rate-check", "replications", 10**400,
+                 id="rate-check-replications"),
+    pytest.param("rate-check", "sweep_T", [24, 48, 96, 10**400],
+                 id="rate-check-sweep_T"),
+    pytest.param("select", "ranks", [1, 10**400], id="select-ranks"),
+])
+def test_an_integer_above_maxsize_exits_2_naming_the_key(tmp_path, capsys,
+                                                         command, key, value):
+    if command == "select":
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        capsys.readouterr()
+        base = {"x": str(sim_out / "X.csv"), "taus": [4, 8], "ranks": [1],
+                "penalty": {"noise_level": 0.25}}
+    else:
+        base = SIM_CFG if command == "simulate" else TestRateCheck().small_cfg()
+    code, out = run(tmp_path, command, dict(base, **{key: value}), "out")
+    err = assert_rejected(capsys, code, out)
+    assert err == (f"config error: {command}: {key} must be <= {sys.maxsize}, "
+                   f"got {value!r}\n")
+
+
+def test_a_seed_above_maxsize_is_valid(tmp_path):
+    # SeedSequence takes any non-negative int, so the seed has no cap.
+    code, out = run(tmp_path, "simulate", dict(SIM_CFG, seed=10**400), "sim")
+    assert code == 0
+    assert (out / "X.csv").exists()
 
 
 SMOOTH_RATE_CFG = {

@@ -8,8 +8,7 @@ import pytest
 from strucfact import (NoiseSpec, build_identity, build_periodic, build_trig,
                        covariance_matrix, replication_seed, sample_noise,
                        sigma_op_norm)
-from strucfact.noise import (KINDS, draw_noise, filter_adjoint, filter_noise,
-                             projected_noise_factor)
+from strucfact.noise import KINDS, projected_noise_factor
 
 SPECS = [
     NoiseSpec("iid", sigma=1.0),
@@ -257,6 +256,25 @@ class TestAr1Sampler:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+class TestMa1Sampler:
+    @pytest.mark.parametrize("theta", [0.5, -2.5, 0.9, 0.0])
+    def test_matches_reference_recursion(self, theta):
+        sigma, d, horizon, seed = 1.3, 4, 300, 21
+        rng = np.random.default_rng(seed)
+        # The main innovations are drawn first, the burn-in eta_0 after them.
+        eta = sigma * rng.standard_normal((d, horizon))
+        eta0 = sigma * rng.standard_normal((d, 1))
+        ref = np.empty((d, horizon))
+        for i in range(d):
+            prev = float(eta0[i, 0])
+            for t in range(horizon):
+                ref[i, t] = float(eta[i, t]) - theta * prev
+                prev = float(eta[i, t])
+        got = sample_noise(NoiseSpec("ma1", sigma, theta=theta), d, horizon, seed)
+        assert got.shape == (d, horizon)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestIidIsMa1ThetaZero:
     @pytest.mark.parametrize("horizon", [1, 2, 10, 1000])
     @pytest.mark.parametrize("sigma", [0.3, 2.0, 1e150])
@@ -284,47 +302,88 @@ ADJOINT_SPECS = [
 ]
 
 
-def adjoint_row_sets(horizon):
-    """Identity, periodic and trig rows L at one horizon."""
-    return {"identity": build_identity(horizon).rows,
-            "periodic": build_periodic(math.gcd(horizon, 4), horizon).rows,
-            "trig": build_trig(min(5, (horizon - 1) // 2), horizon).rows}
+def adjoint_row_sets(horizon, n_freq):
+    """Rows L at one horizon: trig rows with n_freq frequencies, and for
+    n_freq = 0 also the identity and periodic rows, which do not depend on
+    n_freq and so are checked once per horizon."""
+    rows = {"trig": build_trig(n_freq, horizon).rows}
+    if n_freq == 0:
+        rows["identity"] = build_identity(horizon).rows
+        rows["periodic"] = build_periodic(math.gcd(horizon, 4), horizon).rows
+    return rows
+
+
+def reference_draws(spec, d, horizon, seed):
+    """The Gaussian draws behind sample_noise, rebuilt in its documented
+    order: MA(1) draws the innovations before each row's start column, AR(1)
+    the start first.  Returns the draws and their standard deviations."""
+    rng = np.random.default_rng(seed)
+    if spec.kind == "iid":
+        return rng.standard_normal((d, horizon)) * spec.sigma, \
+            np.full(horizon, spec.sigma)
+    if spec.kind == "ma1":
+        main = rng.standard_normal((d, horizon))
+        start = rng.standard_normal((d, 1))
+    else:
+        start = rng.standard_normal((d, 1))
+        main = rng.standard_normal((d, horizon))
+    scales = np.full(horizon + 1, spec.sigma)
+    if spec.kind == "ar1":
+        scales[1:] *= np.sqrt(1.0 - spec.rho ** 2)
+    return np.hstack([start, main]) * scales, scales
+
+
+def reference_filter(spec, horizon):
+    """The dense causal filter F with sample = draws @ F^T: the identity
+    for iid, F[t, t + 1] = 1 and F[t, t] = -theta for MA(1), and
+    F[t, j] = rho^(t + 1 - j) for j <= t + 1 for AR(1)."""
+    if spec.kind == "iid":
+        return np.eye(horizon)
+    lag = np.arange(1, horizon + 1)[:, None] - np.arange(horizon + 1)[None, :]
+    if spec.kind == "ma1":
+        return (lag == 0) - spec.theta * (lag == 1)
+    return np.where(lag >= 0, spec.rho ** np.maximum(lag, 0), 0.0)
 
 
 class TestFilterAdjoint:
-    """sample_noise(...) @ L^T equals draws @ filter_adjoint(spec, L)^T."""
+    """The filter F that sample_noise applies and whose adjoint L F
+    projected_noise_factor builds: the sample is the documented draws through
+    F, and F diag(s^2) F^T is the covariance that the factor is checked
+    against, row set by row set, in TestProjectedNoiseFactor."""
 
     @pytest.mark.parametrize("horizon", [2, 3, 128, 1024])
     @pytest.mark.parametrize("spec", ADJOINT_SPECS,
                              ids=lambda s: f"{s.kind}-{s.theta}-{s.rho}")
     def test_projected_noise_matches_the_sample(self, spec, horizon):
         d, seed = 5, 17
-        draws = draw_noise(spec, d, horizon, seed)
+        draws, scales = reference_draws(spec, d, horizon, seed)
+        f = reference_filter(spec, horizon)
         sample = sample_noise(spec, d, horizon, seed)
-        np.testing.assert_array_equal(filter_noise(spec, draws.copy()), sample)
-        for name, rows in adjoint_row_sets(horizon).items():
-            adjoint = filter_adjoint(spec, rows)
-            assert adjoint.shape == (rows.shape[0], draws.shape[1]), name
-            ref = sample @ rows.T
-            got = draws @ adjoint.T
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        ref = draws @ f.T
+        assert sample.shape == ref.shape == (d, horizon)
+        assert np.max(np.abs(sample - ref)) <= 1e-12 * np.max(np.abs(ref))
+        cov = covariance_matrix(spec, horizon)
+        got = (f * scales) @ (f * scales).T
+        assert np.max(np.abs(got - cov)) <= 1e-12 * np.max(np.abs(cov))
 
-    @pytest.mark.parametrize("spec", [NoiseSpec("ma1", 1.0, theta=0.6),
+    @pytest.mark.parametrize("spec", [NoiseSpec("iid", 0.7),
+                                      NoiseSpec("ma1", 1.0, theta=0.6),
                                       NoiseSpec("ar1", 1.0, rho=0.95)],
-                             ids=["ma1", "ar1"])
+                             ids=["iid", "ma1", "ar1"])
     def test_trig_rows_at_long_horizon_take_o_tau_t_memory(self, spec):
         horizon = 10 ** 5
         rows = build_trig(2, horizon).rows
-        filter_adjoint(spec, rows[:, :8])  # warm-up
+        projected_noise_factor(spec, rows[:, :8])  # warm-up
         tracemalloc.start()
         try:
-            adjoint = filter_adjoint(spec, rows)
+            factor = projected_noise_factor(spec, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert adjoint.shape == (5, horizon + 1)
-        # A few tau x (T + 1) arrays; one T x T array would be 80 GB.
-        assert peak < 4 * adjoint.nbytes
+        assert factor.shape == (5, 5)
+        # The scaled adjoint and the QR's copy of it: about 2 tau (T + 1)
+        # doubles.  One T x T array would be 80 GB.
+        assert peak < 3 * 5 * (horizon + 1) * 8
 
 
 class TestProjectedNoiseFactor:
@@ -336,10 +395,11 @@ class TestProjectedNoiseFactor:
     @pytest.mark.parametrize("spec", ADJOINT_SPECS,
                              ids=lambda s: f"{s.kind}-{s.theta}-{s.rho}")
     def test_matches_the_covariance_oracle(self, spec, horizon, n_freq):
-        rows = build_trig(n_freq, horizon).rows
-        factor = projected_noise_factor(spec, rows)
-        assert factor.shape == (rows.shape[0],) * 2
-        np.testing.assert_array_equal(factor, np.triu(factor))
-        ref = rows @ covariance_matrix(spec, horizon) @ rows.T
-        got = factor.T @ factor
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        cov = covariance_matrix(spec, horizon)
+        for name, rows in adjoint_row_sets(horizon, n_freq).items():
+            factor = projected_noise_factor(spec, rows)
+            assert factor.shape == (rows.shape[0],) * 2, name
+            np.testing.assert_array_equal(factor, np.triu(factor))
+            ref = rows @ cov @ rows.T
+            got = factor.T @ factor
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
