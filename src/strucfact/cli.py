@@ -1,31 +1,16 @@
 """Command-line front end: simulate, fit, select, rate-check.
 
-All commands read a strict JSON config, write CSV matrices (17 significant
-digits, comma delimiter, no header) plus strict JSON manifests/reports, and
-are byte-for-byte deterministic given config, seed and BLAS thread count.
-Only rate-check uses --threads, which sizes its pool; it runs numpy's bundled
-OpenBLAS at one thread, so its report depends on config and seed alone.  Each
-command checks its config against the typed table of its scenario, basis
-kind and noise kind before computing anything, computes every output before
-it writes a file, and publishes the output directory atomically.  The CSV
-writer formats each value once: a tiled matrix (a periodic signal, an
-identity or periodic fit) repeats its formatted period.
-
-rate-check replicates in the coefficient space of each point's basis L.
-Because L L^T = c I, a fit sees only the projection X L^T / c = B + E L^T / c
-of X = B L + E, and ||A L - B L||_F^2 = c ||A - B||_F^2.  A smooth truth is
-written over the wider of its own and the fit's trig basis, whose rows stay
-orthogonal because 2 max(n_terms, n_freq) < T.  So one replication draws the
-true coefficients B, adds the projected noise, fits it through
-build_identity(tau), and returns c ||A_hat - B||_F^2 / (d T), without ever
-forming a d x T signal.  For a trig basis the projected noise is z @ R: z is a
-d x tau standard normal drawn from the replication's noise seed, and R is the
-tau x tau factor of its row covariance L Sigma L^T / c^2, built once per
-point by noise.projected_noise_factor (which runs the AR(1) filter over the
-tau rows of L, never over a sample).  An identity basis takes a noise sample
-as it is and a periodic basis projects one, which costs O(d T).
-Each pool thread runs one task that takes replication indices from one counter;
-all stop at a replication that raises, a pool thread that cannot start, or Ctrl-C.
+All commands read a strict JSON config (UTF-8, each key once per object),
+write CSV matrices (17 significant digits, comma delimiter, no header) plus
+strict JSON manifests/reports, and are byte-for-byte deterministic given
+config, seed and BLAS thread count.  Only rate-check uses --threads, which
+sizes the pool that runs its replications (strucfact.rates); it runs numpy's
+bundled OpenBLAS at one thread, so its report depends on config and seed
+alone.  Each command checks its config against the typed table of its
+scenario, basis kind and noise kind before computing anything, computes
+every output before it writes a file, and publishes the output directory
+atomically.  The CSV writer formats each value once: a tiled matrix (a
+periodic signal, an identity or periodic fit) repeats its formatted period.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory,
 4 I/O error, 130 interrupted (Ctrl-C).
@@ -48,17 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimator, sobolev, structure
+from . import estimator, rates, sobolev, structure
 from .errors import ConvergenceError
-from .noise import (NoiseSpec, projected_noise_factor, replication_seed,
-                    sample_noise, sigma_op_norm)
+from .noise import NoiseSpec, replication_seed, sample_noise, sigma_op_norm
 from .select import CandidateGrid, PenaltyParams, select
 
 SCHEMA_VERSION = 1
 CSV_FMT = "%.17g"
-# numpy error state under which an overflow or a NaN raises FloatingPointError
-# (exit 3) instead of printing a RuntimeWarning.
-FP_ERRORS = {"over": "raise", "invalid": "raise"}
+# rate-check's replication, under the name that perfbench's tracer wraps.
+_one_replication = rates.one_replication
 
 
 class ConfigError(ValueError):
@@ -117,6 +100,25 @@ TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A config object; a key given twice is an error (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _int_literal(text: str) -> int:
+    """A config integer; int() refuses more than 4300 digits by default."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"integer literal {text[:12]}... ({len(text)} digits) "
+                          "is too long") from None
 
 
 def _parse(cfg, table: dict | tuple, where: str) -> dict:
@@ -267,32 +269,13 @@ def _json_text(payload: dict) -> str:
 
 # ---------- simulate ----------
 
-def _truth(scenario: str, d: int, k: int, seed: int, width: int,
-           smooth: sobolev.SmoothFactorSpec | None):
-    """Factors (U, V) of one ground truth M = U V L for the scenario's basis L.
-
-    V is a k x width Gaussian matrix for the unstructured (width T) and the
-    periodic (width tau) scenario.  For the smooth one, V holds the smooth
-    coefficients in the layout of build_trig(n_terms, T), and the rows of U
-    have norm 1.
-    """
-    rng = np.random.default_rng(seed)
-    if scenario == "smooth":
-        # Not `seed` itself, whose first draw is U's first row.
-        v = sobolev.gen_smooth_coefficients(smooth, replication_seed(seed, 0))
-        u = rng.standard_normal((d, k))
-        return u / np.linalg.norm(u, axis=1, keepdims=True), v
-    u = rng.standard_normal((d, k))
-    return u, rng.standard_normal((k, width))
-
-
 def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
                        tau: int | None = None,
                        smooth: sobolev.SmoothFactorSpec | None = None):
     """Ground-truth signal for one scenario; returns (M, U, V_rows, period),
     where the columns of M repeat every `period`."""
-    u, v = _truth(scenario, d, k, seed,
-                  tau if scenario == "periodic" else horizon, smooth)
+    u, v = rates.truth(d, k, seed, tau if scenario == "periodic" else horizon,
+                       smooth if scenario == "smooth" else None)
     if scenario == "smooth":
         w = structure.expand(v, structure.build_trig(smooth.n_terms, horizon))
         return u @ w, u, w, horizon
@@ -379,57 +362,6 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
 
 # ---------- rate-check ----------
 
-def _rate_point(spec: NoiseSpec, basis: structure.StructureBasis):
-    """A rate-check point: (basis, R).  For a trig basis L, R is the
-    tau x tau factor of the projected noise E L^T / c: R^T R is its row
-    covariance L Sigma L^T / c^2.  It is None for identity and periodic
-    bases, whose projection of a sample costs O(d T)."""
-    if basis.kind != "trig":
-        return basis, None
-    return basis, projected_noise_factor(spec, basis.rows) / basis.gram_constant
-
-
-def _widen(a: np.ndarray, width: int) -> np.ndarray:
-    """`a` with zero columns appended up to `width` columns."""
-    if a.shape[1] == width:
-        return a
-    wide = np.zeros((a.shape[0], width))
-    wide[:, :a.shape[1]] = a
-    return wide
-
-
-def _one_replication(scenario, d, k, spec, seed, smooth, point, idx):
-    """simulate -> fit -> normalized risk of replication `idx` at one point,
-    all in the coefficient space of the point's basis (module docstring)."""
-    basis, noise_factor = point
-    tau, horizon = basis.tau, basis.horizon
-    sig_seed = replication_seed(seed, 2 * idx)
-    eps_seed = replication_seed(seed, 2 * idx + 1)
-    # A pool thread starts from numpy's default error state, not main's.
-    with np.errstate(**FP_ERRORS):
-        u, v = _truth(scenario, d, k, sig_seed, tau, smooth)
-        # x_tilde starts as the projected noise E L^T / c, which is E itself
-        # for the identity basis.
-        if noise_factor is None:
-            x_tilde = sample_noise(spec, d, horizon, eps_seed)
-            if basis.kind == "periodic":
-                x_tilde = structure.project(x_tilde, basis)
-        else:
-            x_tilde = (np.random.default_rng(eps_seed).standard_normal((d, tau))
-                       @ noise_factor)
-        # Zero columns change no fit and no risk.  They widen the narrower of
-        # a smooth truth and its estimate, and tau = 1 to the two columns
-        # build_identity needs.
-        fit_width = max(tau, 2)
-        b = _widen(u @ v, max(v.shape[1], fit_width))
-        x_tilde += b[:, :tau]
-        model = estimator.fit(_widen(x_tilde, fit_width),
-                              structure.build_identity(fit_width), k)
-        a_hat = _widen(model.m_tilde_hat, b.shape[1])
-        return (basis.gram_constant * estimator.empirical_risk(a_hat, b)
-                / (d * horizon))
-
-
 @functools.cache
 def _bundled_openblas():
     """(get, set) of the thread count of the OpenBLAS shipped in numpy's wheel,
@@ -483,13 +415,6 @@ def _mean_risks(replicate, points, replications, threads):
     return risks.mean(axis=1), risks.std(axis=1)
 
 
-def _loglog_slope(rates, means):
-    """OLS slope of log(mean risk) on log(rate), with slope standard error
-    (np.polyfit scales the covariance by residual / (n - 2))."""
-    (slope, intercept), cov = np.polyfit(np.log(rates), np.log(means), 1, cov=True)
-    return float(slope), float(intercept), float(np.sqrt(cov[0, 0]))
-
-
 def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
                    threads: int = 1) -> None:
     p = _parse(cfg, RATE_CHECK, "rate-check")
@@ -517,21 +442,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         bases = [structure.build_identity(horizon) if scenario == "unstructured"
                  else structure.build_periodic(p["tau"], horizon)
                  for horizon in sweep]
-    rows = []
-    for basis in bases:
-        horizon = basis.horizon
-        if k > min(d, basis.tau):
-            raise ConfigError(f"rate-check: k={k} exceeds min(d, tau) = "
-                              f"{min(d, basis.tau)} at T={horizon}")
-        row = {"d": d, "T": horizon, "tau": basis.tau, "k": k}
-        rate = (sigma_op_norm(spec, horizon)
-                * k * (d + basis.tau + p["s"]) / (d * horizon))
-        if smooth is not None:
-            row["n_freq"] = n_freq = basis.tau // 2
-            rate += p["c_beta_l"] * float(n_freq) ** (-2 * smooth.beta)
-        rows.append(dict(row, theoretical_rate=rate))
-    replicate = functools.partial(_one_replication, scenario, d, k, spec, seed,
-                                  smooth)
+    replicate = functools.partial(_one_replication, d, k, spec, seed, smooth)
     # At one OpenBLAS thread the pool is the only parallelism, and no product
     # rounds in another way at another --threads (OpenBLAS may).
     get, set_ = _bundled_openblas() or (lambda: 1, None)
@@ -539,7 +450,9 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
     if old != 1:
         set_(1)
     try:
-        points = [_rate_point(spec, basis) for basis in bases]
+        # Inside the guard: a trig point's noise factor comes from a QR.
+        rows, points = zip(*[rates.build_point(spec, b, d, k, p["s"], smooth,
+                                               p.get("c_beta_l")) for b in bases])
         means, stds = _mean_risks(replicate, points, reps, threads)
         for row, mu, sd in zip(rows, means, stds):
             row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
@@ -551,7 +464,7 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
                           best_grid_risk=float(means.min()),
                           passed=bool(star_risk <= 2.0 * means.min()))
         else:
-            slope, intercept, se = _loglog_slope(
+            slope, intercept, se = rates.loglog_slope(
                 [row["theoretical_rate"] for row in rows], means)
             report.update(slope=slope, intercept=intercept, slope_stderr=se,
                           slope_tol=p["slope_tol"],
@@ -596,15 +509,18 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
-                cfg = json.load(fh)
+                cfg = json.load(fh, object_pairs_hook=_unique_keys,
+                                parse_int=_int_literal)
             except RecursionError:
                 raise ConfigError(f"{args.config}: JSON nested too deeply") from None
+            except ValueError as exc:  # not UTF-8, not JSON, or a hook's error
+                raise ConfigError(f"{args.config}: {exc}") from None
         if isinstance(cfg, dict) and cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {cfg['schema']!r}")
         out = Path(args.out)
-        with np.errstate(**FP_ERRORS):
+        with np.errstate(**rates.FP_ERRORS):
             if args.command == "rate-check":
                 cmd_rate_check(cfg, out, args.seed, threads=args.threads)
             else:

@@ -1,0 +1,113 @@
+"""The Monte Carlo engine of rate-check: its points, one replication, the slope.
+
+rate-check replicates in the coefficient space of each point's basis L.
+Because L L^T = c I, a fit sees only the projection X L^T / c = B + E L^T / c
+of X = B L + E, and ||A L - B L||_F^2 = c ||A - B||_F^2.  A smooth truth is
+written over the wider of its own and the fit's trig basis, whose rows stay
+orthogonal because 2 max(n_terms, n_freq) < T.  So one replication draws the
+true coefficients B, adds the projected noise, fits it through
+build_identity(tau), and returns c ||A_hat - B||_F^2 / (d T), without ever
+forming a d x T signal.  For a trig basis the projected noise is z @ R: z is a
+d x tau standard normal drawn from the replication's noise seed, and R is the
+tau x tau factor of its row covariance L Sigma L^T / c^2, built once per
+point by noise.projected_noise_factor (which runs the AR(1) filter over the
+tau rows of L, never over a sample).  An identity basis takes a noise sample
+as it is and a periodic basis projects one, which costs O(d T).
+"""
+from __future__ import annotations
+
+import numpy as np
+
+# Called as noise.sample_noise, never by an imported name, so that a wrapper
+# set on a module attribute (perfbench's span tracer) sees every call.
+from . import estimator, noise, sobolev, structure
+
+# numpy error state under which an overflow or a NaN raises FloatingPointError
+# (exit 3) instead of printing a RuntimeWarning.
+FP_ERRORS = {"over": "raise", "invalid": "raise"}
+
+
+def truth(d: int, k: int, seed: int, width: int,
+          smooth: sobolev.SmoothFactorSpec | None):
+    """Factors (U, V) of one ground truth M = U V L.  V is a k x width
+    Gaussian matrix, or with `smooth` the smooth coefficients in the layout of
+    build_trig(n_terms, T), and then the rows of U have norm 1."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((d, k))
+    if smooth is None:
+        return u, rng.standard_normal((k, width))
+    # Not `seed` itself, whose first draw is U's first row.
+    v = sobolev.gen_smooth_coefficients(smooth, noise.replication_seed(seed, 0))
+    return u / np.linalg.norm(u, axis=1, keepdims=True), v
+
+
+def build_point(spec: noise.NoiseSpec, basis: structure.StructureBasis, d: int,
+                k: int, s: float, smooth: sobolev.SmoothFactorSpec | None,
+                c_beta_l: float | None):
+    """A rate-check point: (report row with theoretical_rate, noise law (basis, R)).
+
+    For a trig basis L, R is the tau x tau factor of the projected noise
+    E L^T / c: R^T R is its row covariance L Sigma L^T / c^2.  It is None for
+    identity and periodic bases, whose projection of a sample costs O(d T).
+    """
+    tau, horizon = basis.tau, basis.horizon
+    if k > min(d, tau):
+        raise ValueError(f"rate-check: k={k} exceeds min(d, tau) = "
+                         f"{min(d, tau)} at T={horizon}")
+    row = {"d": d, "T": horizon, "tau": tau, "k": k}
+    rate = noise.sigma_op_norm(spec, horizon) * k * (d + tau + s) / (d * horizon)
+    if smooth is not None:
+        row["n_freq"] = n_freq = tau // 2
+        rate += c_beta_l * float(n_freq) ** (-2 * smooth.beta)
+    factor = None
+    if basis.kind == "trig":
+        factor = noise.projected_noise_factor(spec, basis.rows) / basis.gram_constant
+    return dict(row, theoretical_rate=rate), (basis, factor)
+
+
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    """`a` with zero columns appended up to `width` columns."""
+    if a.shape[1] == width:
+        return a
+    wide = np.zeros((a.shape[0], width))
+    wide[:, :a.shape[1]] = a
+    return wide
+
+
+def one_replication(d, k, spec, seed, smooth, point, idx):
+    """simulate -> fit -> normalized risk of replication `idx` at one point
+    (basis, R), all in the coefficient space of its basis (module docstring)."""
+    basis, noise_factor = point
+    tau, horizon = basis.tau, basis.horizon
+    sig_seed = noise.replication_seed(seed, 2 * idx)
+    eps_seed = noise.replication_seed(seed, 2 * idx + 1)
+    # A pool thread starts from numpy's default error state, not main's.
+    with np.errstate(**FP_ERRORS):
+        u, v = truth(d, k, sig_seed, tau, smooth)
+        # x_tilde starts as the projected noise E L^T / c, which is E itself
+        # for the identity basis.
+        if noise_factor is None:
+            x_tilde = noise.sample_noise(spec, d, horizon, eps_seed)
+            if basis.kind == "periodic":
+                x_tilde = structure.project(x_tilde, basis)
+        else:
+            x_tilde = (np.random.default_rng(eps_seed).standard_normal((d, tau))
+                       @ noise_factor)
+        # Zero columns change no fit and no risk.  They widen the narrower of
+        # a smooth truth and its estimate, and tau = 1 to the two columns
+        # build_identity needs.
+        fit_width = max(tau, 2)
+        b = _widen(u @ v, max(v.shape[1], fit_width))
+        x_tilde += b[:, :tau]
+        model = estimator.fit(_widen(x_tilde, fit_width),
+                              structure.build_identity(fit_width), k)
+        a_hat = _widen(model.m_tilde_hat, b.shape[1])
+        return (basis.gram_constant * estimator.empirical_risk(a_hat, b)
+                / (d * horizon))
+
+
+def loglog_slope(rates, means):
+    """OLS slope of log(mean risk) on log(rate), with slope standard error
+    (np.polyfit scales the covariance by residual / (n - 2))."""
+    (slope, intercept), cov = np.polyfit(np.log(rates), np.log(means), 1, cov=True)
+    return float(slope), float(intercept), float(np.sqrt(cov[0, 0]))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from strucfact import (NoiseSpec, SmoothFactorSpec, build_identity,
                        build_periodic, build_trig, expand, fit, linalg,
                        predict, project, replication_seed, risk, sample_noise)
-from strucfact import cli
+from strucfact import cli, rates
 from strucfact.cli import main, read_matrix, write_matrix
 
 
@@ -579,9 +579,9 @@ def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
     eps_seed = replication_seed(seed, 2 * idx + 1)
     for basis in ORACLE_BASES[scenario]:
         k = min(2, basis.tau)
-        point = cli._rate_point(spec, basis)
-        got = cli._one_replication(scenario, d, k, spec, seed, ORACLE_SMOOTH,
-                                   point, idx)
+        smooth = ORACLE_SMOOTH if scenario == "smooth" else None
+        _, point = rates.build_point(spec, basis, d, k, 1.0, smooth, 1.0)
+        got = rates.one_replication(d, k, spec, seed, smooth, point, idx)
         m, *_ = cli._simulate_instance(scenario, d, ORACLE_T, k,
                                        replication_seed(seed, 2 * idx),
                                        tau=basis.tau, smooth=ORACLE_SMOOTH)
@@ -615,12 +615,12 @@ def test_trig_replication_risk_has_the_time_domain_law(noise, n_freq):
     seeds 1-5, and one that ignores the AR(1) filter gave z below -28."""
     d, k, horizon, reps = 8, 2, 64, 100
     spec, basis = LAW_SPECS[noise], build_trig(n_freq, horizon)
-    point = cli._rate_point(spec, basis)
+    _, point = rates.build_point(spec, basis, d, k, 1.0, ORACLE_SMOOTH, 1.0)
     for seed in range(1, 6):
         factor, time_domain = [], []
         for idx in range(reps):
-            factor.append(cli._one_replication("smooth", d, k, spec, seed,
-                                               ORACLE_SMOOTH, point, idx))
+            factor.append(rates.one_replication(d, k, spec, seed, ORACLE_SMOOTH,
+                                                point, idx))
             m, *_ = cli._simulate_instance("smooth", d, horizon, k,
                                            replication_seed(seed, 2 * idx),
                                            tau=basis.tau, smooth=ORACLE_SMOOTH)
@@ -1098,6 +1098,41 @@ def test_a_deeply_nested_config_exits_2_with_one_line(tmp_path):
     assert not out.exists()
 
 
+def run_config_text(tmp_path, capsys, text: bytes):
+    """simulate on a config file holding `text`; returns (stderr, config path)
+    once it has failed with exit 2, one line and no --out."""
+    cfg_path, out = tmp_path / "raw.json", tmp_path / "out"
+    cfg_path.write_bytes(text)
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    return assert_rejected(capsys, code, out), cfg_path
+
+
+SIM_TEXT = json.dumps(SIM_CFG)
+
+
+@pytest.mark.parametrize("text, reason", [
+    (b'{"d": ', "Expecting value: line 1 column 7 (char 6)"),
+    (b"\xff" + SIM_TEXT.encode(), "'utf-8' codec can't decode byte 0xff in "
+                                  "position 0: invalid start byte"),
+    (SIM_TEXT.replace('"T": 24', '"T": 1' + "0" * 5000).encode(),
+     "integer literal 100000000000... (5001 digits) is too long"),
+], ids=["truncated", "not-utf-8", "5001-digits"])
+def test_an_unreadable_config_is_one_line_naming_the_file(tmp_path, capsys,
+                                                          text, reason):
+    err, cfg_path = run_config_text(tmp_path, capsys, text)
+    assert err == f"config error: {cfg_path}: {reason}\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    (SIM_TEXT[:-1] + ', "d": 4}', "d"),
+    (SIM_TEXT.replace('"sigma": 0.5', '"sigma": 0.5, "sigma": 1.0'), "sigma"),
+], ids=["top-level", "nested"])
+def test_a_repeated_config_key_is_one_line_naming_it(tmp_path, capsys, text,
+                                                     key):
+    err, cfg_path = run_config_text(tmp_path, capsys, text.encode())
+    assert err == f"config error: {cfg_path}: duplicate key {key!r}\n"
+
+
 # Smooth factors so large that every replication overflows in its pool thread.
 OVERFLOW_RATE_CFG = {"scenario": "smooth", "d": 10, "k": 2, "T": 128,
                      "smooth": {"beta": 2, "ell": 1e308, "n_terms": 16},
@@ -1464,14 +1499,14 @@ def test_malformed_csv_is_a_config_error_naming_it(tmp_path, capsys, command,
 
 
 def test_loglog_slope_is_the_closed_form_ols():
-    rates = np.array([1e-3, 4e-3, 2e-2, 5e-2, 0.3])
+    rate_values = np.array([1e-3, 4e-3, 2e-2, 5e-2, 0.3])
     means = np.array([2.1e-3, 5e-3, 4.4e-2, 0.09, 0.8])
-    lx, ly = np.log(rates), np.log(means)
+    lx, ly = np.log(rate_values), np.log(means)
     sxx = np.sum((lx - lx.mean()) ** 2)
     slope = np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx
     intercept = ly.mean() - slope * lx.mean()
     resid = ly - (intercept + slope * lx)
     stderr = np.sqrt(np.sum(resid ** 2) / (len(lx) - 2) / sxx)
-    got = cli._loglog_slope(list(rates), means)
+    got = rates.loglog_slope(list(rate_values), means)
     assert all(type(v) is float for v in got)
     np.testing.assert_allclose(got, [slope, intercept, stderr], rtol=1e-10)
