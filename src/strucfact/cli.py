@@ -107,7 +107,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"duplicate key {key!r}")
+            raise ConfigError(f"duplicate key {_shown(key)}")
         obj[key] = value
     return obj
 
@@ -121,21 +121,28 @@ def _int_literal(text: str) -> int:
                           "is too long") from None
 
 
+def _shown(value) -> str:
+    """repr(value) for an error line, cut to a prefix and its length when
+    long, so that one line never carries a whole config."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _parse(cfg, table: dict | tuple, where: str) -> dict:
     """Check `cfg` against `table`; return a copy with defaults filled in."""
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object, got {cfg!r}")
+        raise ConfigError(f"{where}: expected an object, got {_shown(cfg)}")
     variant, parsed = "", {}
     if isinstance(table, tuple):
         key, tables = table
         name = cfg.get(key)  # checked to be a string before it is looked up
         if not (isinstance(name, str) and name in tables):
             raise ConfigError(f"{where}: {key} must be one of {list(tables)}, "
-                              f"got {name!r}")
+                              f"got {_shown(name)}")
         table, variant, parsed = tables[name], f" for {key} {name!r}", {key: name}
     unknown = sorted(set(cfg) - set(table) - set(parsed))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}{variant}")
+        raise ConfigError(f"{where}: unknown keys {_shown(unknown)}{variant}")
     for key, (kind, default, minimum) in table.items():
         if key not in cfg:
             if default is REQUIRED:
@@ -158,16 +165,17 @@ def _parse(cfg, table: dict | tuple, where: str) -> dict:
             ok = isinstance(value, str)
         if not ok:
             raise ConfigError(f"{where}: {key} must be {TYPE_NAMES[kind]}, "
-                              f"got {value!r}")
+                              f"got {_shown(value)}")
         values = value if kind is list else [value]
         if minimum is not None and any(v < minimum for v in values):
             bound = "> 0" if minimum is POSITIVE else f">= {minimum}"
-            raise ConfigError(f"{where}: {key} must be {bound}, got {value!r}")
+            raise ConfigError(f"{where}: {key} must be {bound}, got {_shown(value)}")
         # Sizes and counts must fit numpy's index type; a seed may be any
         # non-negative int, because SeedSequence takes one.
         if kind in (int, list) and key != "seed" and any(
                 v > sys.maxsize for v in values):
-            raise ConfigError(f"{where}: {key} must be <= {sys.maxsize}, got {value!r}")
+            raise ConfigError(f"{where}: {key} must be <= {sys.maxsize}, "
+                              f"got {_shown(value)}")
         parsed[key] = value
     return parsed
 
@@ -518,7 +526,7 @@ def main(argv=None) -> int:
             except ValueError as exc:  # not UTF-8, not JSON, or a hook's error
                 raise ConfigError(f"{args.config}: {exc}") from None
         if isinstance(cfg, dict) and cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema version {cfg['schema']!r}")
+            raise ConfigError(f"unsupported schema version {_shown(cfg['schema'])}")
         out = Path(args.out)
         with np.errstate(**rates.FP_ERRORS):
             if args.command == "rate-check":

@@ -48,6 +48,13 @@ def assert_rejected(capsys, code, out, codes=(2,)):
     return err
 
 
+def shown(value) -> str:
+    """`value` as a config error line quotes it: its repr, or for a repr of
+    more than 60 characters the first 40 and the repr's length."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _package_env() -> dict:
     """Environment in which a child `python -m strucfact.cli` finds this package."""
     import strucfact
@@ -379,7 +386,7 @@ class TestSelect:
         err = assert_rejected(capsys, code, out)
         in_range = key == "lambda" and isinstance(value, (int, float))
         must = "lie in (0, 1)" if in_range else "be a finite number"
-        assert err == f"config error: penalty: {key} must {must}, got {value!r}\n"
+        assert err == f"config error: penalty: {key} must {must}, got {shown(value)}\n"
 
     @pytest.mark.parametrize("key, value", [
         ("ranks", [1.5, 2]), ("ranks", []), ("taus", ["4"]), ("taus", 4),
@@ -559,7 +566,9 @@ class TestRateCheck:
 ORACLE_T = 48
 ORACLE_SMOOTH = SmoothFactorSpec(k=2, beta=2, ell=10.0, n_terms=6)
 ORACLE_BASES = {
-    "unstructured": [build_identity(ORACLE_T)],
+    # d = 6 and k = 2: T - k = d - 1 keeps an iid point's d x T sample, and
+    # from T - k = d on it takes the Bartlett route.
+    "unstructured": [build_identity(horizon) for horizon in (ORACLE_T, 7, 8)],
     "periodic": [build_periodic(4, ORACLE_T), build_periodic(1, ORACLE_T)],
     # Narrower than, as wide as, and wider than the truth's n_terms = 6.
     "smooth": [build_trig(n, ORACLE_T) for n in (1, 6, 9)],
@@ -569,20 +578,46 @@ ORACLE_NOISE = {"iid": NoiseSpec("iid", 0.5),
                 "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
 
 
+def bartlett_oracle_risk(d, k, horizon, sigma, seed, idx):
+    """The risk of an identity-basis iid replication recomputed from its own
+    draws: the truth U V as A Q^T (V^T = Q R, A = U R^T), E1 and the Bartlett
+    factor Lb from the noise seed, the top-k eigenprojector P of
+    Y Y^T + W for Y = A + sigma E1 and W = sigma^2 Lb Lb^T, and then
+    ||P Y - A||_F^2 + tr(P W), over d T."""
+    u, v = rates.truth(d, k, replication_seed(seed, 2 * idx), horizon, None)
+    a = u @ np.linalg.qr(v.T)[1].T
+    rng = np.random.default_rng(replication_seed(seed, 2 * idx + 1))
+    y = a + sigma * rng.standard_normal((d, k))
+    lb = np.zeros((d, d))
+    lb[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    lb[np.diag_indices(d)] = np.sqrt(rng.chisquare(horizon - k - np.arange(d)))
+    w = sigma ** 2 * lb @ lb.T
+    q = np.linalg.eigh(y @ y.T + w)[1][:, -k:]
+    p = q @ q.T
+    return (np.sum((p @ y - a) ** 2) + np.trace(p @ w)) / (d * horizon)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("noise", list(ORACLE_NOISE))
 @pytest.mark.parametrize("scenario", list(ORACLE_BASES))
 def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
     """A replication in coefficient space gives the risk of simulating the
-    d x T signal, adding sampled noise, fitting and predicting."""
+    d x T signal, adding sampled noise, fitting and predicting.  An
+    unstructured iid point with T - k >= d has no time-domain sample; its
+    risk is recomputed from its own draws by bartlett_oracle_risk, and its law
+    is checked by test_bartlett_replication_risk_has_the_time_domain_law."""
     d, idx, spec = 6, 5, ORACLE_NOISE[noise]
     eps_seed = replication_seed(seed, 2 * idx + 1)
     for basis in ORACLE_BASES[scenario]:
-        k = min(2, basis.tau)
+        horizon, k = basis.horizon, min(2, basis.tau)
         smooth = ORACLE_SMOOTH if scenario == "smooth" else None
         _, point = rates.build_point(spec, basis, d, k, 1.0, smooth, 1.0)
         got = rates.one_replication(d, k, spec, seed, smooth, point, idx)
-        m, *_ = cli._simulate_instance(scenario, d, ORACLE_T, k,
+        if scenario == "unstructured" and noise == "iid" and horizon - k >= d:
+            assert got == pytest.approx(bartlett_oracle_risk(
+                d, k, horizon, spec.sigma, seed, idx), rel=1e-10), horizon
+            continue
+        m, *_ = cli._simulate_instance(scenario, d, horizon, k,
                                        replication_seed(seed, 2 * idx),
                                        tau=basis.tau, smooth=ORACLE_SMOOTH)
         if scenario == "smooth":
@@ -593,12 +628,48 @@ def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
             z = np.random.default_rng(eps_seed).standard_normal((d, basis.tau))
             x = m + expand(z @ point[1], basis)
         else:
-            x = m + sample_noise(spec, d, ORACLE_T, eps_seed)
+            x = m + sample_noise(spec, d, horizon, eps_seed)
         want = risk(predict(fit(x, basis, k)), m)
         if scenario == "unstructured":
-            assert got == want
+            assert got == want, horizon
         else:
             assert got == pytest.approx(want, rel=1e-10), basis
+
+
+def time_domain_risk(d, k, spec, seed, idx, basis, smooth=None):
+    """The risk of replication `idx` as the time domain has it: the same
+    truth, a d x T noise sample from the same seed, a fit and a prediction."""
+    scenario = "unstructured" if smooth is None else "smooth"
+    m, *_ = cli._simulate_instance(scenario, d, basis.horizon, k,
+                                   replication_seed(seed, 2 * idx),
+                                   tau=basis.tau, smooth=smooth)
+    x = m + sample_noise(spec, d, basis.horizon,
+                         replication_seed(seed, 2 * idx + 1))
+    return risk(predict(fit(x, basis, k)), m)
+
+
+@pytest.mark.parametrize("d, k, horizon, sigma", [
+    (6, 2, 48, 0.5), (8, 2, 64, 0.5), (8, 1, 16, 2.0)])
+def test_bartlett_replication_risk_has_the_time_domain_law(d, k, horizon,
+                                                           sigma):
+    """Over 100 replications, the mean risk of an unstructured iid point,
+    whose noise enters through E1 and a Bartlett factor, matches that of
+    fitting the same truths plus a d x T noise sample.  The band was fixed
+    from 40 seeds per case before the route landed: paired z-scores of the
+    difference -2.26..2.39 and ratios of the means 0.911-1.110.  A sigma 10%
+    too large gave z 5.1-13.9 at seeds 1-5."""
+    reps, spec, basis = 100, NoiseSpec("iid", sigma), build_identity(horizon)
+    _, point = rates.build_point(spec, basis, d, k, 1.0, None, None)
+    for seed in range(1, 6):
+        bartlett = np.array([rates.one_replication(d, k, spec, seed, None,
+                                                   point, idx)
+                             for idx in range(reps)])
+        time_domain = np.array([time_domain_risk(d, k, spec, seed, idx, basis)
+                                for idx in range(reps)])
+        diff = bartlett - time_domain
+        z = diff.mean() / (diff.std(ddof=1) / np.sqrt(reps))
+        assert abs(z) <= 3.5, (seed, z)
+        assert 0.85 <= bartlett.mean() / time_domain.mean() <= 1.15, seed
 
 
 LAW_SPECS = {"iid": NoiseSpec("iid", 0.5), "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
@@ -621,12 +692,8 @@ def test_trig_replication_risk_has_the_time_domain_law(noise, n_freq):
         for idx in range(reps):
             factor.append(rates.one_replication(d, k, spec, seed, ORACLE_SMOOTH,
                                                 point, idx))
-            m, *_ = cli._simulate_instance("smooth", d, horizon, k,
-                                           replication_seed(seed, 2 * idx),
-                                           tau=basis.tau, smooth=ORACLE_SMOOTH)
-            x = m + sample_noise(spec, d, horizon,
-                                 replication_seed(seed, 2 * idx + 1))
-            time_domain.append(risk(predict(fit(x, basis, k)), m))
+            time_domain.append(time_domain_risk(d, k, spec, seed, idx, basis,
+                                                ORACLE_SMOOTH))
         factor, time_domain = np.array(factor), np.array(time_domain)
         diff = factor - time_domain
         z = diff.mean() / (diff.std(ddof=1) / np.sqrt(reps))
@@ -705,7 +772,7 @@ def test_an_integer_above_maxsize_exits_2_naming_the_key(tmp_path, capsys,
     code, out = run(tmp_path, command, dict(base, **{key: value}), "out")
     err = assert_rejected(capsys, code, out)
     assert err == (f"config error: {command}: {key} must be <= {sys.maxsize}, "
-                   f"got {value!r}\n")
+                   f"got {shown(value)}\n")
 
 
 def test_a_seed_above_maxsize_is_valid(tmp_path):
@@ -1131,6 +1198,23 @@ def test_a_repeated_config_key_is_one_line_naming_it(tmp_path, capsys, text,
                                                      key):
     err, cfg_path = run_config_text(tmp_path, capsys, text.encode())
     assert err == f"config error: {cfg_path}: duplicate key {key!r}\n"
+
+
+@pytest.mark.parametrize("cfg, line", [
+    (list(range(200_000)),
+     "expected an object, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... "
+     "(1488890 characters)"),
+    (dict(TestRateCheck().small_cfg(), sweep_T=[24] * 199_999 + [1.5]),
+     "sweep_T must be a non-empty list of integers, got [24, 24, 24, 24, 24, "
+     "24, 24, 24, 24, 24,... (800001 characters)"),
+], ids=["list-config", "long-sweep_T"])
+def test_a_long_config_value_is_cut_in_its_one_line(tmp_path, cfg, line):
+    # The whole value made lines of 1.49 MB and 600 KB.
+    code, lines, out = run_child(tmp_path, "rate-check", cfg)
+    assert code == 2
+    assert lines == [f"config error: rate-check: {line}"], lines[0][:300]
+    assert len(lines[0].encode()) < 200
+    assert not out.exists()
 
 
 # Smooth factors so large that every replication overflows in its pool thread.
