@@ -4,9 +4,9 @@ All commands read a strict JSON config (UTF-8, each key once per object),
 write CSV matrices (17 significant digits, comma delimiter, no header) plus
 strict JSON manifests/reports, and are byte-for-byte deterministic given
 config, seed and BLAS thread count.  Only rate-check uses --threads, which
-sizes the pool that runs its replications (strucfact.rates); it runs numpy's
-bundled OpenBLAS at one thread, so its report depends on config and seed
-alone.  Each command checks its config against the typed table of its
+sizes the pool that runs its blocks of replications (strucfact.rates); it
+runs numpy's bundled OpenBLAS at one thread, so its report depends on config
+and seed alone.  Each command checks its config against the typed table of its
 scenario, basis kind and noise kind before computing anything, computes
 every output before it writes a file, and publishes the output directory
 atomically.  The CSV writer formats each value once: a tiled matrix (a
@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory,
 from __future__ import annotations
 
 import argparse
+import bisect
 import ctypes
 import functools
 import itertools
@@ -40,8 +41,9 @@ from .select import CandidateGrid, PenaltyParams, select
 
 SCHEMA_VERSION = 1
 CSV_FMT = "%.17g"
-# rate-check's replication, under the name that perfbench's tracer wraps.
-_one_replication = rates.one_replication
+# rate-check's block of replications, under the name that perfbench's tracer
+# wraps.
+_one_replication = rates.block_risks
 
 
 class ConfigError(ValueError):
@@ -388,36 +390,50 @@ def _bundled_openblas():
     return None
 
 
-def _mean_risks(replicate, points, replications, threads):
-    """Mean and std risk per point of replicate(point i, i * replications + r)
-    over the replications r, run by min(threads, tasks) tasks on one pool.
+def _mean_risks(replicate, points, replications, threads, block_sizes):
+    """Mean and std risk per point i of its replications i * replications + r,
+    r < replications, in blocks of block_sizes[i] consecutive ones, each the
+    risks of replicate(point i, range of its indices).  min(threads, blocks)
+    tasks run them: one on the calling thread, more on one pool.
 
-    The tasks take indices from one counter until a failure is recorded: a
-    replication's error (the lowest index's is raised), a pool thread that
-    cannot start (a MemoryError, ranked last) or an interrupt, re-raised."""
+    The tasks take block numbers from one counter until a failure is recorded:
+    a block's error (the lowest block's is raised, and a block stops at its
+    first failing replication), a pool thread that cannot start (a
+    MemoryError, ranked last) or an interrupt, re-raised."""
     risks, failed = np.empty((len(points), replications)), {}
-    indices = itertools.count()  # no lock: its C __next__ is atomic under the GIL
+    # Point i has blocks firsts[i] to firsts[i + 1] - 1.
+    firsts = list(itertools.accumulate(
+        (-(-replications // size) for size in block_sizes), initial=0))
+    blocks = itertools.count()  # no lock: its C __next__ is atomic under the GIL
 
     def task():
-        for idx in indices:
-            if failed or idx >= risks.size:
+        for block in blocks:
+            if failed or block >= firsts[-1]:
                 return
+            i = bisect.bisect_right(firsts, block) - 1
+            start = (block - firsts[i]) * block_sizes[i]
+            row = risks[i, start:start + block_sizes[i]]
+            first = i * replications + start
             try:
-                risks.flat[idx] = replicate(points[idx // replications], idx)
+                row[:] = replicate(points[i], range(first, first + row.size))
             except BaseException as exc:
-                failed[idx] = exc
+                failed[first] = exc
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        try:
-            for _ in range(min(threads, risks.size)):
-                pool.submit(task)
-            pool.shutdown()  # the join that Ctrl-C interrupts
-        except RuntimeError as exc:  # Thread.start: "can't start new thread"
-            failed[risks.size] = MemoryError(
-                f"rate-check could not start a pool thread: {exc}")
-        except BaseException as exc:  # Ctrl-C: each task ends its replication
-            failed[-1] = exc
-            raise
+    tasks = min(threads, firsts[-1])
+    if tasks == 1:
+        task()
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            try:
+                for _ in range(tasks):
+                    pool.submit(task)
+                pool.shutdown()  # the join that Ctrl-C interrupts
+            except RuntimeError as exc:  # Thread.start: "can't start new thread"
+                failed[risks.size] = MemoryError(
+                    f"rate-check could not start a pool thread: {exc}")
+            except BaseException as exc:  # Ctrl-C: each task ends its block
+                failed[-1] = exc
+                raise
     if failed:
         raise failed[min(failed)]
     return risks.mean(axis=1), risks.std(axis=1)
@@ -461,7 +477,9 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         # Inside the guard: a trig point's noise factor comes from a QR.
         rows, points = zip(*[rates.build_point(spec, b, d, k, p["s"], smooth,
                                                p.get("c_beta_l")) for b in bases])
-        means, stds = _mean_risks(replicate, points, reps, threads)
+        means, stds = _mean_risks(replicate, points, reps, threads,
+                                  [rates.block_size(d, k, spec, smooth, b)
+                                   for b in bases])
         for row, mu, sd in zip(rows, means, stds):
             row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
 

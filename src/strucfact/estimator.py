@@ -20,23 +20,30 @@ from .structure import StructureBasis, expand, project
 
 @dataclass(frozen=True)
 class FactorModel:
-    u: np.ndarray            # d x k
-    v: np.ndarray            # k x tau
+    u: np.ndarray            # d x k, or n x d x k for a stack
+    v: np.ndarray            # k x tau, or n x k x tau
     basis: StructureBasis
-    rank: int                # numerical rank, min(k, rank of the projection)
+    rank: int                # numerical rank, min(k, rank of the projection);
+                             # an array of one per matrix for a stack
 
     @property
     def m_tilde_hat(self) -> np.ndarray:
-        """d x tau coefficient estimate u @ v, the rank-k truncated SVD."""
+        """d x tau coefficient estimate u @ v, the rank-k truncated SVD
+        (n x d x tau for a stack)."""
         return self.u @ self.v
 
 
 def fit(x, basis: StructureBasis, k: int) -> FactorModel:
     """Fit a rank-k factor model to a d x T observation matrix; `project`
-    validates x and `linalg.top_k` checks 1 <= k <= min(d, tau)."""
+    validates x and `linalg.top_k` checks 1 <= k <= min(d, tau).
+
+    Through an identity basis x may be an (n, d, T) stack.  The model then
+    stacks the n fits, each equal to its matrix's fit alone, and `rank` is an
+    array of one rank per matrix."""
     s = linalg.top_k(project(x, basis), k)
-    root = np.sqrt(s.singular_values)
-    return FactorModel(u=s.left * root, v=(s.right * root).T, basis=basis,
+    root = np.sqrt(s.singular_values)[..., None, :]
+    return FactorModel(u=s.left * root,
+                       v=np.swapaxes(s.right * root, -1, -2), basis=basis,
                        rank=s.rank)
 
 

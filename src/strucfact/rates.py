@@ -1,4 +1,5 @@
-"""The Monte Carlo engine of rate-check: its points, one replication, the slope.
+"""The Monte Carlo engine of rate-check: its points, a block of replications,
+the slope.
 
 rate-check replicates in the coefficient space of each point's basis L.
 Because L L^T = c I, a fit sees only the projection X L^T / c = B + E L^T / c
@@ -30,6 +31,19 @@ P, as for the d x T fit.  Its reports differ from those of the d x T fit
 by Monte Carlo noise only: over seeds 1-8 of the ratecheck-unstructured
 benchmark config, each point's mean risk moved by 0.989-1.008 times, with
 paired z-scores of mean -0.20 and standard deviation 0.81.
+
+Replications run in blocks of consecutive indices at one point.
+block_risks draws each replication of a block alone, from its own seeds and
+in the same order as it would alone, stacks the block's d x width
+observations into one (n, d, width) array and fits it with one
+estimator.fit.  Its Gram products, eigensolves and Ritz SVDs then run once
+over the stack, and numpy releases the GIL in each, so another pool thread
+draws meanwhile.  Each matrix of a stack is fitted bit for bit as it would be
+alone, so no risk depends on its block, nor a report on --threads.
+block_size sizes a block by the widest array each replication keeps until
+the fit, within BLOCK_DOUBLES: 6 replications of the Bartlett route at
+d = 50, and one where a replication samples d x T noise with d T >= 2^14,
+so peak memory does not grow there.
 """
 from __future__ import annotations
 
@@ -42,6 +56,11 @@ from . import estimator, noise, sobolev, structure
 # numpy error state under which an overflow or a NaN raises FloatingPointError
 # (exit 3) instead of printing a RuntimeWarning.
 FP_ERRORS = {"over": "raise", "invalid": "raise"}
+# Doubles (128 KiB) that a block's replications may keep until its fit.  400
+# Bartlett replications at d = 50 on two threads took 0.27 s in blocks of 6,
+# against 0.42 s one at a time; blocks of 32 took 0.23 s and added 8 MB of
+# peak RSS.
+BLOCK_DOUBLES = 2 ** 14
 
 
 def truth(d: int, k: int, seed: int, width: int,
@@ -93,56 +112,81 @@ def _widen(a: np.ndarray, width: int) -> np.ndarray:
     return wide
 
 
-def one_replication(d, k, spec, seed, smooth, point, idx):
-    """simulate -> fit -> normalized risk of replication `idx` at one point
-    (basis, R), all in the coefficient space of its basis (module docstring)."""
+def _bartlett(d, k, spec, basis) -> bool:
+    """Whether a point's replications take the Bartlett route (module docstring)."""
+    return basis.kind == "identity" and spec.kind == "iid" and basis.horizon - k >= d
+
+
+def block_size(d, k, spec, smooth, basis) -> int:
+    """Replications per block at a point: as many d x width arrays as
+    BLOCK_DOUBLES holds, and at least one.  width is the widest array that a
+    replication keeps until its block is fitted: k + d on the Bartlett route,
+    T where it samples d x T noise, and for a trig basis the wider of the
+    fit's tau and the 2 n_terms + 1 coefficients of the smooth truth."""
+    if _bartlett(d, k, spec, basis):
+        width = k + d
+    elif basis.kind == "trig":
+        width = max(basis.tau, 2, 2 * smooth.n_terms + 1)
+    else:
+        width = basis.horizon
+    return max(1, BLOCK_DOUBLES // (d * width))
+
+
+def block_risks(d, k, spec, seed, smooth, point, indices) -> np.ndarray:
+    """simulate -> fit -> normalized risk of each replication in `indices` at
+    one point (basis, R), all in the coefficient space of its basis, with one
+    estimator.fit of their stacked observations (module docstring)."""
     basis, noise_factor = point
     tau, horizon = basis.tau, basis.horizon
-    sig_seed = noise.replication_seed(seed, 2 * idx)
-    eps_seed = noise.replication_seed(seed, 2 * idx + 1)
+    bartlett = _bartlett(d, k, spec, basis)
+    # Zero columns change no fit and no risk.  They widen the narrower of a
+    # smooth truth and its estimate, and tau = 1 to the two columns
+    # build_identity needs.
+    fit_width = k + d if bartlett else max(tau, 2)
+    if bartlett:
+        lower, diagonal = np.tril_indices(d, -1), np.diag_indices(d)
+        dof = horizon - k - np.arange(d)
+    observations, truths = [], []
     # A pool thread starts from numpy's default error state, not main's.
     with np.errstate(**FP_ERRORS):
-        u, v = truth(d, k, sig_seed, tau, smooth)
-        if basis.kind == "identity" and spec.kind == "iid" and horizon - k >= d:
-            return _bartlett_risk(u, v, spec.sigma, eps_seed) / (d * horizon)
-        # x_tilde starts as the projected noise E L^T / c, which is E itself
-        # for the identity basis.
-        if noise_factor is None:
-            x_tilde = noise.sample_noise(spec, d, horizon, eps_seed)
-            if basis.kind == "periodic":
-                x_tilde = structure.project(x_tilde, basis)
-        else:
-            x_tilde = (np.random.default_rng(eps_seed).standard_normal((d, tau))
-                       @ noise_factor)
-        # Zero columns change no fit and no risk.  They widen the narrower of
-        # a smooth truth and its estimate, and tau = 1 to the two columns
-        # build_identity needs.
-        fit_width = max(tau, 2)
-        b = _widen(u @ v, max(v.shape[1], fit_width))
-        x_tilde += b[:, :tau]
-        model = estimator.fit(_widen(x_tilde, fit_width),
-                              structure.build_identity(fit_width), k)
-        a_hat = _widen(model.m_tilde_hat, b.shape[1])
-        return (basis.gram_constant * estimator.empirical_risk(a_hat, b)
-                / (d * horizon))
-
-
-def _bartlett_risk(u, v, sigma, eps_seed) -> float:
-    """||P Y - U V||_F^2 of the rank-k fit of Y = U V + sigma E for iid E,
-    from the d x (k + d) statistic Z of the module docstring.  From eps_seed
-    it draws E1, then the strict lower triangle of Lb in np.tril_indices
-    order, then its diagonal sqrt(chi^2_{T-k-i}) for i = 0..d-1."""
-    (d, k), horizon = u.shape, v.shape[1]
-    a = u @ np.linalg.qr(v.T, mode="r").T
-    rng = np.random.default_rng(eps_seed)
-    z = np.zeros((d, k + d))
-    z[:, :k] = a + sigma * rng.standard_normal((d, k))
-    bartlett = z[:, k:]
-    bartlett[np.tril_indices(d, -1)] = sigma * rng.standard_normal(d * (d - 1) // 2)
-    bartlett[np.diag_indices(d)] = sigma * np.sqrt(
-        rng.chisquare(horizon - k - np.arange(d)))
-    model = estimator.fit(z, structure.build_identity(k + d), k)
-    return estimator.empirical_risk(model.m_tilde_hat, _widen(a, k + d))
+        for idx in indices:
+            eps_seed = noise.replication_seed(seed, 2 * idx + 1)
+            u, v = truth(d, k, noise.replication_seed(seed, 2 * idx), tau, smooth)
+            if bartlett:
+                # Z = [A + sigma E1 | sigma Lb] against [A | 0]: from eps_seed
+                # E1, then the strict lower triangle of Lb in np.tril_indices
+                # order, then its diagonal sqrt(chi^2_{T-k-i}), i = 0..d-1.
+                a = u @ np.linalg.qr(v.T, mode="r").T
+                rng = np.random.default_rng(eps_seed)
+                z = np.zeros((d, fit_width))
+                z[:, :k] = a + spec.sigma * rng.standard_normal((d, k))
+                factor = z[:, k:]
+                factor[lower] = spec.sigma * rng.standard_normal(d * (d - 1) // 2)
+                factor[diagonal] = spec.sigma * np.sqrt(rng.chisquare(dof))
+                observations.append(z)
+                truths.append(_widen(a, fit_width))
+                continue
+            # x_tilde starts as the projected noise E L^T / c, which is E
+            # itself for the identity basis.
+            if noise_factor is None:
+                x_tilde = noise.sample_noise(spec, d, horizon, eps_seed)
+                if basis.kind == "periodic":
+                    x_tilde = structure.project(x_tilde, basis)
+            else:
+                x_tilde = (np.random.default_rng(eps_seed).standard_normal((d, tau))
+                           @ noise_factor)
+            b = _widen(u @ v, max(v.shape[1], fit_width))
+            x_tilde += b[:, :tau]
+            observations.append(_widen(x_tilde, fit_width))
+            truths.append(b)
+        # One observation is its own stack, so a d x T one is never copied.
+        x = (observations[0][None] if len(observations) == 1
+             else np.stack(observations))
+        model = estimator.fit(x, structure.build_identity(fit_width), k)
+        return np.array([basis.gram_constant
+                         * estimator.empirical_risk(_widen(a_hat, b.shape[1]), b)
+                         / (d * horizon)
+                         for a_hat, b in zip(model.m_tilde_hat, truths)])
 
 
 def loglog_slope(rates, means):

@@ -111,11 +111,12 @@ def _trig_rows(n_freq: int, horizon: int) -> np.ndarray:
 
 
 def project(x, basis: StructureBasis) -> np.ndarray:
-    """Project a d x T matrix onto the basis: X @ L^T / c (d x tau)."""
-    x = as_matrix(x)
-    if x.shape[1] != basis.horizon:
+    """Project a d x T matrix onto the basis: X @ L^T / c (d x tau).  An
+    identity basis also projects an (n, d, T) stack, each matrix alone."""
+    x = as_matrix(x, stack=basis.kind == "identity")
+    if x.shape[-1] != basis.horizon:
         raise ValueError(
-            f"x has {x.shape[1]} columns but basis horizon is {basis.horizon}"
+            f"x has {x.shape[-1]} columns but basis horizon is {basis.horizon}"
         )
     if basis.kind == "trig":
         return x @ _trig_rows(basis.tau // 2, basis.horizon).T / basis.gram_constant

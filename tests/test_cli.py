@@ -612,7 +612,7 @@ def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
         horizon, k = basis.horizon, min(2, basis.tau)
         smooth = ORACLE_SMOOTH if scenario == "smooth" else None
         _, point = rates.build_point(spec, basis, d, k, 1.0, smooth, 1.0)
-        got = rates.one_replication(d, k, spec, seed, smooth, point, idx)
+        [got] = rates.block_risks(d, k, spec, seed, smooth, point, [idx])
         if scenario == "unstructured" and noise == "iid" and horizon - k >= d:
             assert got == pytest.approx(bartlett_oracle_risk(
                 d, k, horizon, spec.sigma, seed, idx), rel=1e-10), horizon
@@ -661,15 +661,57 @@ def test_bartlett_replication_risk_has_the_time_domain_law(d, k, horizon,
     reps, spec, basis = 100, NoiseSpec("iid", sigma), build_identity(horizon)
     _, point = rates.build_point(spec, basis, d, k, 1.0, None, None)
     for seed in range(1, 6):
-        bartlett = np.array([rates.one_replication(d, k, spec, seed, None,
-                                                   point, idx)
-                             for idx in range(reps)])
+        bartlett = rates.block_risks(d, k, spec, seed, None, point, range(reps))
         time_domain = np.array([time_domain_risk(d, k, spec, seed, idx, basis)
                                 for idx in range(reps)])
         diff = bartlett - time_domain
         z = diff.mean() / (diff.std(ddof=1) / np.sqrt(reps))
         assert abs(z) <= 3.5, (seed, z)
         assert 0.85 <= bartlett.mean() / time_domain.mean() <= 1.15, seed
+
+
+# One point per route of block_risks at d = 6, k = 2.
+BLOCK_ROUTES = {
+    "bartlett": (NoiseSpec("iid", 0.5), build_identity(ORACLE_T), None),
+    "identity-ar1": (ORACLE_NOISE["ar1"], build_identity(ORACLE_T), None),
+    "periodic": (ORACLE_NOISE["ma1"], build_periodic(4, ORACLE_T), None),
+    "trig": (ORACLE_NOISE["ar1"], build_trig(3, ORACLE_T), ORACLE_SMOOTH),
+}
+
+
+@pytest.mark.parametrize("route", list(BLOCK_ROUTES))
+def test_a_risk_does_not_depend_on_its_block(route):
+    """Replications 0-6 give the same risks alone, in blocks of 3 (the last
+    one partial) and in one block of 7."""
+    d, k, seed = 6, 2, 4
+    spec, basis, smooth = BLOCK_ROUTES[route]
+    _, point = rates.build_point(spec, basis, d, k, 1.0, smooth, 1.0)
+
+    def risks(size):
+        return np.concatenate([
+            rates.block_risks(d, k, spec, seed, smooth, point,
+                              range(start, min(start + size, 7)))
+            for start in range(0, 7, size)]).tolist()
+
+    assert risks(3) == risks(1)
+    assert risks(7) == risks(1)
+
+
+@pytest.mark.parametrize("d, spec, basis, smooth, size", [
+    # 2^14 doubles over the d x (k + d) Bartlett statistic Z.
+    (50, NoiseSpec("iid", 0.5), build_identity(250), None, 6),
+    # A d x T noise sample is alone, even where it outgrows the budget.
+    (50, NoiseSpec("ar1", 0.5, rho=0.5), build_identity(250), None, 1),
+    (50, NoiseSpec("iid", 0.5), build_periodic(5, 10**6), None, 1),
+    (8, NoiseSpec("iid", 0.5), build_periodic(4, 64), None, 32),
+    # The smooth truth's 2 n_terms + 1 = 193 coefficients, not tau = 3.
+    (30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
+     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=96), 2),
+    (30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
+     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=1), 182),
+])
+def test_a_block_holds_what_fits_its_byte_budget(d, spec, basis, smooth, size):
+    assert rates.block_size(d, 2, spec, smooth, basis) == size
 
 
 LAW_SPECS = {"iid": NoiseSpec("iid", 0.5), "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
@@ -688,13 +730,11 @@ def test_trig_replication_risk_has_the_time_domain_law(noise, n_freq):
     spec, basis = LAW_SPECS[noise], build_trig(n_freq, horizon)
     _, point = rates.build_point(spec, basis, d, k, 1.0, ORACLE_SMOOTH, 1.0)
     for seed in range(1, 6):
-        factor, time_domain = [], []
-        for idx in range(reps):
-            factor.append(rates.one_replication(d, k, spec, seed, ORACLE_SMOOTH,
-                                                point, idx))
-            time_domain.append(time_domain_risk(d, k, spec, seed, idx, basis,
-                                                ORACLE_SMOOTH))
-        factor, time_domain = np.array(factor), np.array(time_domain)
+        factor = rates.block_risks(d, k, spec, seed, ORACLE_SMOOTH, point,
+                                   range(reps))
+        time_domain = np.array([time_domain_risk(d, k, spec, seed, idx, basis,
+                                                 ORACLE_SMOOTH)
+                                for idx in range(reps)])
         diff = factor - time_domain
         z = diff.mean() / (diff.std(ddof=1) / np.sqrt(reps))
         assert abs(z) <= 3.5, (seed, z)
@@ -1318,7 +1358,8 @@ def test_a_pool_thread_that_cannot_start_exits_3_with_one_line(
     code, out = run(tmp_path, "rate-check", TestRateCheck().small_cfg(), "rate",
                     threads=4)
     assert assert_rejected(capsys, code, out, codes=(3,)) == line
-    # Of 12 tasks, only those the one thread took before the cancel ran.
+    # Of 4 blocks (one per point), only those the one thread took before
+    # the cancel ran.
     assert len(starts) == 2 and len(calls) <= 2
 
 
@@ -1333,30 +1374,34 @@ def test_a_failing_rate_check_stops_early(tmp_path, capsys, monkeypatch,
         return replicate(*args)
 
     monkeypatch.setattr(cli, "_one_replication", spy)
-    reps = 100
+    # Every block overflows once it is fitted, and a point has 21 blocks of
+    # at most 49 replications.
+    reps = 1000
     code, out = run(tmp_path, "rate-check",
                     dict(OVERFLOW_RATE_CFG, replications=reps), "rate",
                     threads=threads)
     err = assert_rejected(capsys, code, out, codes=(3,))
     assert err.startswith("numeric failure:") and err.count("\n") == 1, err
-    # Fewer than the first point's replications, let alone all points'.
-    assert len(calls) < reps
+    # Fewer replications than the first point's, let alone all points'.
+    assert sum(len(block) for block in calls) < reps
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_mean_risks_raises_the_earliest_submitted_error(threads):
     calls = []
 
-    def replicate(point, idx):
-        calls.append(idx)
-        if idx >= 3:
-            time.sleep(0.01)  # lets the waiting thread run, as numpy would
-            raise ArithmeticError(f"replication {idx}")
-        return 1.0
+    def replicate(point, indices):
+        for idx in indices:
+            calls.append(idx)
+            if idx >= 3:
+                time.sleep(0.01)  # lets the waiting thread run, as numpy would
+                raise ArithmeticError(f"replication {idx}")
+        return np.ones(len(indices))
 
-    # Never a CancelledError of a task the first error cancelled.
+    # Never a CancelledError of a task the first error cancelled.  Replication
+    # 3 is the second of its block.
     with pytest.raises(ArithmeticError, match="^replication 3$"):
-        cli._mean_risks(replicate, [None] * 4, 50, threads)
+        cli._mean_risks(replicate, [None] * 4, 50, threads, [2, 3, 7, 50])
     assert len(calls) < 200
 
 
@@ -1369,22 +1414,25 @@ def test_mean_risks_runs_one_task_per_thread(monkeypatch, threads):
             submits.append(args)
             return super().submit(*args, **kwargs)
 
-    def replicate(point, idx):
-        seen.append(idx)
-        return point + idx
+    def replicate(point, indices):
+        seen.extend(indices)
+        return point + np.array(indices)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", Counting)
     points = [0.0, 1e3, 2e3, 3e3]
-    # Switching threads as often as it can, so that a lost or repeated index
-    # of a counter that is not atomic would show.
+    # Switching threads as often as it can, so that a lost or repeated block
+    # of a counter that is not atomic would show.  Blocks of 3 and 7 leave a
+    # partial block at the end of their points.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        means, stds = cli._mean_risks(replicate, points, 50, threads)
+        means, stds = cli._mean_risks(replicate, points, 50, threads,
+                                      [1, 3, 7, 50])
     finally:
         sys.setswitchinterval(interval)
-    # One task per thread, not one per replication (200).
-    assert len(submits) <= threads
+    # One task per thread, not one per block (76), and one thread's task
+    # runs on the calling thread.
+    assert len(submits) == (0 if threads == 1 else threads)
     assert sorted(seen) == list(range(200))
     risks = np.arange(200.0).reshape(4, 50) + np.array(points)[:, None]
     assert means.tolist() == risks.mean(axis=1).tolist()
@@ -1396,7 +1444,7 @@ RSS_PROBE = """
 import resource
 from strucfact import cli
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-cli._mean_risks(lambda point, idx: 1.0, [None] * 4, 25000, 1)
+cli._mean_risks(lambda point, indices: 1.0, [None] * 4, 25000, 2, [1] * 4)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
@@ -1410,9 +1458,10 @@ def test_mean_risks_holds_no_object_per_replication():
     assert int(result.stdout) < 10_000
 
 
-# Prints one line once the first replication starts, and sleeps in each one
-# so that the run outlasts the test by far.  Python's own SIGINT handler is
-# installed even where this process was started with SIGINT ignored.
+# Prints one line once the first block starts, and sleeps 2 ms per
+# replication of each block so that the run outlasts the test by far.
+# Python's own SIGINT handler is installed even where this process was started
+# with SIGINT ignored.
 INTERRUPT_PROBE = """
 import signal, sys, time
 from strucfact import cli
@@ -1423,7 +1472,7 @@ def slow(*args):
     if not started:
         started.append(True)
         print("started", flush=True)
-    time.sleep(0.01)
+    time.sleep(0.002 * len(args[-1]))
     return replicate(*args)
 
 cli._one_replication = slow
@@ -1434,7 +1483,8 @@ sys.exit(cli.main(sys.argv[1:]))
 @pytest.mark.parametrize("threads", [1, 2])
 def test_ctrl_c_stops_a_rate_check_with_one_line(tmp_path, threads):
     cfg_path, out = tmp_path / "rate.json", tmp_path / "out"
-    # 8000 replications of at least 10 ms: 40 s or more on 2 threads.
+    # 8000 replications of at least 2 ms: 8 s or more on 2 threads, in
+    # blocks of 227 that each end within about 0.5 s of the interrupt.
     cfg_path.write_text(json.dumps(dict(TestRateCheck().small_cfg(),
                                         replications=2000)))
     child = subprocess.Popen(
@@ -1496,7 +1546,7 @@ class TestBlasThreadShare:
         replicate = cli._one_replication
 
         def spy(*args):
-            seen.append(blas())
+            seen.extend([blas()] * len(args[-1]))
             return replicate(*args)
 
         monkeypatch.setattr(cli, "_one_replication", spy)

@@ -202,3 +202,28 @@ class TestFitDelegatesItsChecks:
         x[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fit(x, build_periodic(4, 8), 1)
+
+
+class TestFitStack:
+    def test_each_matrix_gives_its_own_fit(self):
+        # Beside Gaussian ones: a zero matrix, one scaled by 1e-3 and one of
+        # rank 1 < k.
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((5, 8, 30))
+        stack[1] = 0.0
+        stack[2] *= 1e-3
+        stack[3] = rng.standard_normal((8, 1)) @ rng.standard_normal((1, 30))
+        basis = build_identity(30)
+        model = fit(stack, basis, 2)
+        for i, x in enumerate(stack):
+            alone = fit(x, basis, 2)
+            assert np.array_equal(model.u[i], alone.u)
+            assert np.array_equal(model.v[i], alone.v)
+            assert np.array_equal(model.m_tilde_hat[i], alone.m_tilde_hat)
+            assert model.rank[i] == alone.rank
+        assert model.rank.tolist() == [2, 0, 2, 1, 2]
+
+    @pytest.mark.parametrize("basis", [build_periodic(4, 12), build_trig(2, 12)])
+    def test_only_an_identity_basis_fits_a_stack(self, basis):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=3"):
+            fit(np.ones((2, 3, 12)), basis, 1)

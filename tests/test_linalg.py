@@ -177,3 +177,54 @@ class TestTopK:
         monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or inner(a))
         top_k(gapped(shape, seed=0), 3)
         assert calls == [(max(shape), 3)]
+
+
+def ragged_stack(shape, n, seed):
+    """n matrices of one shape: one scaled by 1e-3, then a zero one and one
+    of rank 2 beside Gaussian ones, as far as n reaches."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((n, *shape))
+    stack[0] *= 1e-3
+    if n > 1:
+        stack[1] = 0.0
+    if n > 2:
+        stack[2] = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+    return stack
+
+
+class TestTopKStack:
+    """A stack is each matrix alone: its own scale, rank and bits."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("shape", WIDE_AND_TALL + [(7, 7), (50, 52)])
+    def test_each_matrix_gives_its_own_top_k(self, shape, n):
+        stack = ragged_stack(shape, n, seed=n)
+        top = top_k(stack, 3)
+        for i, a in enumerate(stack):
+            alone = top_k(a, 3)
+            assert np.array_equal(top.left[i], alone.left)
+            assert np.array_equal(top.singular_values[i], alone.singular_values)
+            assert np.array_equal(top.right[i], alone.right)
+            assert top.rank[i] == alone.rank
+        assert top.rank.tolist() == [3, 0, 2, 3, 3, 3][:n]
+
+    def test_a_stack_never_reaches_svd(self, monkeypatch):
+        calls = []
+        inner = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or inner(a))
+        top_k(ragged_stack((6, 40), 3, seed=0), 3)
+        assert calls == []
+
+    def test_svd_rejects_a_stack(self):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=3"):
+            svd(np.ones((2, 3, 4)))
+
+    @pytest.mark.parametrize("stack, match", [
+        (np.ones((0, 3, 4)), "dimensions must be positive"),
+        (np.ones((2, 3, 0)), "dimensions must be positive"),
+        (np.full((2, 3, 4), np.nan), "finite"),
+        (np.ones((1, 2, 3, 4)), "ndim=4"),
+    ])
+    def test_a_malformed_stack_is_rejected(self, stack, match):
+        with pytest.raises(ValueError, match=match):
+            top_k(stack, 1)

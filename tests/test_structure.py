@@ -126,6 +126,23 @@ class TestProjectExpand:
         with pytest.raises(ValueError):
             expand(np.zeros((2, 3)), b)
 
+    def test_identity_projects_a_stack_as_each_matrix(self):
+        stack = np.random.default_rng(4).standard_normal((3, 5, 12))
+        got = project(stack, build_identity(12))
+        assert got.tobytes() == stack.tobytes()
+        assert not np.shares_memory(got, stack)
+
+    @pytest.mark.parametrize("basis", [build_periodic(4, 12), build_trig(2, 12)])
+    def test_periodic_and_trig_project_reject_a_stack(self, basis):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=3"):
+            project(np.ones((2, 3, 12)), basis)
+
+    @pytest.mark.parametrize("basis", [build_identity(12), build_periodic(4, 12),
+                                       build_trig(2, 12)])
+    def test_expand_rejects_a_stack(self, basis):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=3"):
+            expand(np.ones((2, 3, basis.tau)), basis)
+
     @pytest.mark.parametrize("basis", ALL_BASES)
     def test_project_after_expand_is_identity(self, basis):
         rng = np.random.default_rng(7)
