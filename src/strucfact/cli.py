@@ -322,9 +322,9 @@ def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
     if b["kind"] == "identity":
         basis = structure.build_identity(horizon)
     elif b["kind"] == "periodic":
-        basis = structure.build_periodic(b["tau"], horizon)
+        basis = _spec("basis", structure.build_periodic, tau=b["tau"], horizon=horizon)
     else:
-        basis = structure.build_trig(b["n_freq"], horizon)
+        basis = _spec("basis", structure.build_trig, n_freq=b["n_freq"], horizon=horizon)
     model = estimator.fit(x, basis, p["k"])
     m_hat = estimator.predict(model)
     # ||P (L L^T - c I)||_F on the first min(tau, 8) rows P of I_tau.
@@ -349,10 +349,15 @@ def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
 def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
     p = _parse(cfg, SELECT, "select")
     pen = p["penalty"]
+    for key in ("taus", "n_freqs"):
+        if len(set(p[key])) != len(p[key]):
+            raise ConfigError(f"select: {key} must be distinct, got {_shown(p[key])}")
     x = read_matrix(p["x"])
     horizon = x.shape[1]
-    bases = [structure.build_periodic(tau, horizon) for tau in p["taus"]]
-    bases += [structure.build_trig(n_freq, horizon) for n_freq in p["n_freqs"]]
+    bases = [_spec("taus", structure.build_periodic, tau=tau, horizon=horizon)
+             for tau in p["taus"]]
+    bases += [_spec("n_freqs", structure.build_trig, n_freq=n_freq, horizon=horizon)
+              for n_freq in p["n_freqs"]]
     params = _spec("penalty", PenaltyParams, lam=pen["lambda"], c_pen=pen["c_pen"],
                    noise_level=pen["noise_level"], s=pen["s"])
     result = select(x, CandidateGrid(bases=bases, ranks=p["ranks"]), params)

@@ -1,12 +1,13 @@
 """Dense real matrix kernels: validation, SVD and top-k SVD.
 
-`svd` is the full thin SVD (LAPACK gesdd).  `top_k` returns only the k
-largest singular triplets, from an eigensolve of the Gram matrix of the
-shorter side refined by one thin SVD of a k-column matrix; it is what the
-estimator fits with.  It also takes an (n, m, p) stack of n matrices and then
-runs each step once over the whole stack; numpy's LAPACK and BLAS loops treat
-each matrix of a stack as they treat it alone, so each result equals that of
-its matrix alone bit for bit, and each long call releases the GIL.
+`svd` is the full thin SVD (LAPACK gesdd), and `singular_values` the same
+decomposition's values alone, without the singular vectors.  `top_k` returns
+only the k largest singular triplets, from an eigensolve of the Gram matrix
+of the shorter side refined by one thin SVD of a k-column matrix; it is what
+the estimator fits with.  It also takes an (n, m, p) stack of n matrices and
+then runs each step once over the whole stack; numpy's LAPACK and BLAS loops
+treat each matrix of a stack as they treat it alone, so each result equals
+that of its matrix alone bit for bit, and each long call releases the GIL.
 
 All functions validate finiteness up front.  Everything here is pure and
 thread-safe.
@@ -70,6 +71,19 @@ def svd(a) -> SvdResult:
     silently wrong factors.
     """
     return _thin_svd(as_matrix(a))
+
+
+def singular_values(a) -> np.ndarray:
+    """The singular values of `a`, nonincreasing, without the singular
+    vectors: `svd(a).singular_values` in less time and memory.
+
+    Raises ConvergenceError if the LAPACK driver fails.
+    """
+    a = as_matrix(a)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
 def _thin_svd(a: np.ndarray) -> SvdResult:

@@ -4,8 +4,9 @@ Every feasible (basis, k) pair on the candidate grid is scored; the score
 is the unnormalized empirical risk plus a penalty proportional to
 k * (d + tau + shifted confidence level) * noise level.  The winner is the
 pair with the smallest score; exact ties go to the smaller k, then the
-smaller tau.  The empirical risks of all ranks of one basis come from a
-single SVD of the projection (see _residuals); only the winner is refit.
+smaller tau.  The empirical risks of all ranks of one basis come from the
+singular values of the projection alone (see _residuals), without its
+singular vectors; only the winner is refit.
 Without a given noise level, the plug-in is read from the same profiles.
 """
 from __future__ import annotations
@@ -100,15 +101,20 @@ def _residuals(x: np.ndarray, basis: StructureBasis) -> np.ndarray:
 
     Because L L^T = c I, the residual of the rank-k fit splits into the part
     of X outside the row space of L plus c times the singular-value tail of
-    the projection that the truncation discards (Eckart-Young).  The tail is
-    summed from the smallest value up, so small residuals do not cancel.
+    the projection that the truncation discards (Eckart-Young).  So the
+    profile needs the singular values alone, not the singular vectors.  The
+    tail is summed from the smallest value up, so small residuals do not
+    cancel.
     """
     x_tilde = project(x, basis)
-    # The full SVD, not linalg.top_k: the Gram matrix squares the condition
-    # number, and the tail must hold at roundoff (noise sigma=1e-9 in
-    # test_cli's TestSelect.test_noiseless_recovery).
-    s2 = linalg.svd(x_tilde).singular_values ** 2
-    out_of_span = float(np.sum((x - expand(x_tilde, basis)) ** 2))
+    # The full SVD's values, not linalg.top_k: the Gram matrix squares the
+    # condition number, and the tail must hold at roundoff (noise sigma=1e-9
+    # in test_cli's TestSelect.test_noiseless_recovery).
+    s2 = linalg.singular_values(x_tilde) ** 2
+    # One d x T temporary: the expansion, less X in place, squared in place.
+    r = expand(x_tilde, basis)
+    r -= x
+    out_of_span = float(np.sum(np.square(r, out=r)))
     tail = np.append(np.cumsum(s2[::-1])[::-1], 0.0)
     return out_of_span + basis.gram_constant * tail
 

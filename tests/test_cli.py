@@ -207,6 +207,19 @@ class TestFit:
         code, _ = run(tmp_path, "fit", fit_cfg, "fit_bad")
         assert code != 0
 
+    @pytest.mark.parametrize("basis, message", [
+        ({"kind": "periodic", "tau": 5}, "horizon 24 must be divisible by tau 5"),
+        ({"kind": "trig", "n_freq": 12}, "2 * n_freq = 24 must be < horizon = 24")])
+    def test_a_basis_that_misfits_the_horizon_names_its_section(
+            self, tmp_path, capsys, basis, message):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        capsys.readouterr()
+        fit_cfg = {"x": str(sim_out / "X.csv"), "basis": basis, "k": 2}
+        code, out = run(tmp_path, "fit", fit_cfg, "fit_misfit")
+        err = assert_rejected(capsys, code, out)
+        assert err.startswith(f"config error: basis: {message} (")
+        assert err.count("\n") == 1
+
     def test_missing_input_is_io_error(self, tmp_path):
         fit_cfg = {"x": str(tmp_path / "nope.csv"),
                    "basis": {"kind": "identity"}, "k": 1}
@@ -359,8 +372,10 @@ class TestSelect:
         _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
         capsys.readouterr()
         calls = []
-        svd = linalg.svd
+        svd, values = linalg.svd, linalg.singular_values
         monkeypatch.setattr(linalg, "svd", lambda a: calls.append(1) or svd(a))
+        monkeypatch.setattr(linalg, "singular_values",
+                            lambda a: calls.append(1) or values(a))
         sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4, 24], "ranks": [7],
                    "penalty": penalty}
         code, out = run(tmp_path, "select", sel_cfg, "sel_infeasible")
@@ -404,13 +419,49 @@ class TestSelect:
     def test_plug_in_reuses_the_residual_profiles(self, tmp_path, monkeypatch):
         _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
         calls = []
-        svd = linalg.svd
-        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(1) or svd(a))
+        svd, values = linalg.svd, linalg.singular_values
+        monkeypatch.setattr(linalg, "svd",
+                            lambda a: calls.append("svd") or svd(a))
+        monkeypatch.setattr(linalg, "singular_values",
+                            lambda a: calls.append("values") or values(a))
         sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4, 8], "n_freqs": [2],
                    "ranks": [1, 2], "penalty": {"lambda": 0.5, "c_pen": 2.0}}
         code, _ = run(tmp_path, "select", sel_cfg, "sel")
         assert code == 0
-        assert len(calls) == 3 + 1  # one per basis + the winner's refit
+        # The values alone per basis, then the winner's refit.
+        assert calls == ["values"] * 3 + ["svd"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("taus", [12, 12, 6]), ("n_freqs", [2, 3, 2])])
+    def test_a_repeated_grid_entry_exits_2_before_any_svd(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        capsys.readouterr()
+        calls = []
+        svd, values = linalg.svd, linalg.singular_values
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(1) or svd(a))
+        monkeypatch.setattr(linalg, "singular_values",
+                            lambda a: calls.append(1) or values(a))
+        sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4], "ranks": [1, 2],
+                   "penalty": {"noise_level": 0.25}, key: value}
+        code, out = run(tmp_path, "select", sel_cfg, "sel_repeated")
+        err = assert_rejected(capsys, code, out)
+        assert err == f"config error: select: {key} must be distinct, got {value}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("taus", [4, 7], "horizon 24 must be divisible by tau 7"),
+        ("n_freqs", [2, 12], "2 * n_freq = 24 must be < horizon = 24")])
+    def test_a_basis_that_misfits_the_horizon_names_its_key(
+            self, tmp_path, capsys, key, value, message):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        capsys.readouterr()
+        sel_cfg = {"x": str(sim_out / "X.csv"), "taus": [4], "ranks": [1, 2],
+                   "penalty": {"noise_level": 0.25}, key: value}
+        code, out = run(tmp_path, "select", sel_cfg, "sel_misfit")
+        err = assert_rejected(capsys, code, out)
+        assert err.startswith(f"config error: {key}: {message} (")
+        assert err.count("\n") == 1
 
     def test_explicit_empty_taus_with_n_freqs(self, tmp_path):
         _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")

@@ -112,6 +112,39 @@ class TestSvd:
         assert np.all(s.singular_values >= 0)
 
 
+def near_noiseless(seed=11):
+    """A rank-2 periodic 6 x 24 matrix (tau = 4) plus iid noise of sigma
+    1e-9: the setting of test_cli's TestSelect.test_noiseless_recovery."""
+    rng = np.random.default_rng(seed)
+    m = np.tile(rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4)), 6)
+    return m + 1e-9 * rng.standard_normal(m.shape)
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("a", [
+        pytest.param(np.random.default_rng(1).standard_normal((6, 40)), id="wide"),
+        pytest.param(np.random.default_rng(2).standard_normal((40, 6)), id="tall"),
+        pytest.param(np.random.default_rng(3).standard_normal((1, 9)), id="1xn"),
+        pytest.param(np.random.default_rng(4).standard_normal((8, 2))
+                     @ np.random.default_rng(5).standard_normal((2, 12)),
+                     id="rank-deficient"),
+        pytest.param(near_noiseless(), id="sigma-1e-9"),
+    ])
+    def test_match_the_full_svd(self, a):
+        values, full = linalg.singular_values(a), svd(a).singular_values
+        assert values.shape == full.shape == (min(a.shape),)
+        assert np.all(np.diff(values) <= 0) and np.all(values >= 0)
+        np.testing.assert_allclose(values, full, rtol=0, atol=1e-13 * full[0])
+
+    def test_rejects_nan_as_svd_does(self):
+        a = np.array([[np.nan, 0.0]])
+        with pytest.raises(ValueError) as by_svd:
+            svd(a)
+        with pytest.raises(ValueError) as by_values:
+            linalg.singular_values(a)
+        assert str(by_values.value) == str(by_svd.value)
+
+
 def rank_k_product(s, k):
     """sum_{i<=k} sigma_i u_i v_i^T from an SvdResult's leading triplets."""
     return (s.left[:, :k] * s.singular_values[:k]) @ s.right[:, :k].T

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from strucfact import (CandidateGrid, NoiseSpec, PenaltyParams,
                        SelectionResult, build_periodic, build_trig,
                        calibrate_noise_level, empirical_risk, expand, fit,
-                       penalty, predict, risk, sample_noise, select)
+                       penalty, predict, project, risk, sample_noise, select)
 from strucfact import linalg
 from strucfact.noise import replication_seed
 
@@ -188,11 +189,15 @@ class TestResidualProfile:
     def test_one_svd_per_basis_and_no_calibration_fit(self, monkeypatch):
         x, grid = self.instance()
         calls = []
-        svd = linalg.svd
-        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(1) or svd(a))
+        svd, values = linalg.svd, linalg.singular_values
+        monkeypatch.setattr(linalg, "svd",
+                            lambda a: calls.append("svd") or svd(a))
+        monkeypatch.setattr(linalg, "singular_values",
+                            lambda a: calls.append("values") or values(a))
         result = select(x, grid, PenaltyParams(lam=0.5, c_pen=2.0,
                                                noise_level=0.25))
-        assert len(calls) == len(grid.bases) + 1  # one per basis + the refit
+        # The values alone per basis, then one full SVD for the winner's refit.
+        assert calls == ["values"] * len(grid.bases) + ["svd"]
         np.testing.assert_array_equal(
             result.fitted.m_tilde_hat,
             fit(x, grid.bases[result.winner.basis_index],
@@ -203,7 +208,39 @@ class TestResidualProfile:
         monkeypatch.setattr(select_module, "fit", no_fit)
         calls.clear()
         calibrate_noise_level(x, grid)
-        assert len(calls) == 1
+        assert calls == ["values"]
+
+    @pytest.mark.parametrize("basis", [build_periodic(4, 24), build_trig(3, 24),
+                                       build_periodic(24, 24)],
+                             ids=["periodic-4", "trig-3", "periodic-T"])
+    def test_profile_matches_a_full_svd_reference(self, basis):
+        x, _ = self.instance()
+        x_tilde = project(x, basis)
+        s = np.linalg.svd(x_tilde, full_matrices=False)[1]
+        reference = np.array(
+            [np.sum((x - expand(x_tilde, basis)) ** 2)
+             + basis.gram_constant * np.sum(s[k:] ** 2)
+             for k in range(len(s) + 1)])
+        np.testing.assert_allclose(select_module._residuals(x, basis),
+                                   reference, rtol=1e-13)
+
+    def test_peak_memory_holds_no_singular_vectors(self):
+        # At tau = T the projection is d x T, and so are the right singular
+        # vectors of a full SVD: the profile may hold the projection and one
+        # d x T residual (2.0 x.nbytes here), but not the vectors as well
+        # (3.0 x.nbytes with them).
+        d, horizon = 40, 480
+        x = np.random.default_rng(3).standard_normal((d, horizon))
+        basis = build_periodic(horizon, horizon)
+        select_module._residuals(x, basis)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            select_module._residuals(x, basis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
     def test_the_winner_is_held_once(self):
         x, grid = self.instance()
