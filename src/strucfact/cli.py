@@ -13,7 +13,9 @@ atomically.  The CSV writer formats each value once: a tiled matrix (a
 periodic signal, an identity or periodic fit) repeats its formatted period.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory,
-4 I/O error, 130 interrupted (Ctrl-C).
+4 I/O error, 130 interrupted (Ctrl-C).  The console script and
+`python -m strucfact.cli` go through `run`, which exits without interpreter
+teardown once the output is published; `main` returns the code instead.
 """
 from __future__ import annotations
 
@@ -301,6 +303,8 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     spec = _spec("noise", NoiseSpec, **p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
     smooth = _smooth_spec(p, horizon, "simulate") if scenario == "smooth" else None
+    if scenario == "periodic":  # here, so that a misfit names tau
+        _spec("tau", structure.build_periodic, tau=p["tau"], horizon=horizon)
 
     m, u, v, period = _simulate_instance(scenario, d, horizon, k, seed,
                                          tau=p.get("tau"), smooth=smooth)
@@ -469,7 +473,8 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
             raise ConfigError("rate-check: sweep_T needs at least 4 distinct "
                               f"points for the regression, got {sweep}")
         bases = [structure.build_identity(horizon) if scenario == "unstructured"
-                 else structure.build_periodic(p["tau"], horizon)
+                 else _spec("tau", structure.build_periodic, tau=p["tau"],
+                            horizon=horizon)
                  for horizon in sweep]
     replicate = functools.partial(_one_replication, d, k, spec, seed, smooth)
     # At one OpenBLAS thread the pool is the only parallelism, and no product
@@ -574,5 +579,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The console script and `python -m strucfact.cli`: main(), then exit
+    without interpreter teardown.  Once main returns, every output is closed
+    and published and the pool has joined, so only the final garbage
+    collection and module cleanup are skipped."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

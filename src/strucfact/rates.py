@@ -34,16 +34,20 @@ paired z-scores of mean -0.20 and standard deviation 0.81.
 
 Replications run in blocks of consecutive indices at one point.
 block_risks draws each replication of a block alone, from its own seeds and
-in the same order as it would alone, stacks the block's d x width
-observations into one (n, d, width) array and fits it with one
-estimator.fit.  Its Gram products, eigensolves and Ritz SVDs then run once
+in the same order as it would alone.  On the Bartlett route the loop keeps
+only those draws, each in its row of a preallocated block array; Z is then
+assembled for the whole block by three assignments, fitted by one
+estimator.fit and scored by one sum of squares over the (n, d, k + d)
+stack.  The other routes stack the block's d x width observations into one
+(n, d, width) array, fit it with one estimator.fit and score each
+replication.  The fit's Gram products, eigensolves and Ritz SVDs run once
 over the stack, and numpy releases the GIL in each, so another pool thread
-draws meanwhile.  Each matrix of a stack is fitted bit for bit as it would be
-alone, so no risk depends on its block, nor a report on --threads.
-block_size sizes a block by the widest array each replication keeps until
+draws meanwhile.  Each matrix of a stack is fitted and summed bit for bit
+as it would be alone, so no risk depends on its block, nor a report on
+--threads.  block_size sizes a block by what each replication keeps until
 the fit, within BLOCK_DOUBLES: 6 replications of the Bartlett route at
-d = 50, and one where a replication samples d x T noise with d T >= 2^14,
-so peak memory does not grow there.
+d = 50, and one where a replication samples d x T noise with d T above
+BLOCK_DOUBLES / 2, so peak memory does not grow there.
 """
 from __future__ import annotations
 
@@ -56,11 +60,12 @@ from . import estimator, noise, sobolev, structure
 # numpy error state under which an overflow or a NaN raises FloatingPointError
 # (exit 3) instead of printing a RuntimeWarning.
 FP_ERRORS = {"over": "raise", "invalid": "raise"}
-# Doubles (128 KiB) that a block's replications may keep until its fit.  400
-# Bartlett replications at d = 50 on two threads took 0.27 s in blocks of 6,
-# against 0.42 s one at a time; blocks of 32 took 0.23 s and added 8 MB of
-# peak RSS.
-BLOCK_DOUBLES = 2 ** 14
+# Doubles (192 KiB) that a block's replications may keep until its fit: 6
+# Bartlett replications at d = 50.  400 of them on two threads took 0.23 s
+# in blocks of 6, against 0.27 s in blocks of 4 (2^14 doubles) and 0.42 s
+# one at a time; blocks of 8 took 0.21 s and added 0.4 MB of peak RSS, and
+# blocks of 32 took 0.22 s and added 5.7 MB (warm, 2-core Xeon).
+BLOCK_DOUBLES = 3 * 2 ** 13
 
 
 def truth(d: int, k: int, seed: int, width: int,
@@ -118,18 +123,20 @@ def _bartlett(d, k, spec, basis) -> bool:
 
 
 def block_size(d, k, spec, smooth, basis) -> int:
-    """Replications per block at a point: as many d x width arrays as
-    BLOCK_DOUBLES holds, and at least one.  width is the widest array that a
-    replication keeps until its block is fitted: k + d on the Bartlett route,
-    T where it samples d x T noise, and for a trig basis the wider of the
-    fit's tau and the 2 n_terms + 1 coefficients of the smooth truth."""
+    """Replications per block at a point: as many as keep their arrays within
+    BLOCK_DOUBLES until their block is fitted, and at least one.  On the
+    Bartlett route that is Z (d x (k + d)), A and E1 (d x k each), and the
+    d (d - 1) / 2 normals and d chi-squares of Lb.  Otherwise it is the
+    widest d x width array: T where a replication samples d x T noise, and
+    for a trig basis the wider of the fit's tau and the 2 n_terms + 1
+    coefficients of the smooth truth."""
     if _bartlett(d, k, spec, basis):
-        width = k + d
+        doubles = d * (k + d) + 2 * d * k + d * (d - 1) // 2 + d
     elif basis.kind == "trig":
-        width = max(basis.tau, 2, 2 * smooth.n_terms + 1)
+        doubles = d * max(basis.tau, 2, 2 * smooth.n_terms + 1)
     else:
-        width = basis.horizon
-    return max(1, BLOCK_DOUBLES // (d * width))
+        doubles = d * basis.horizon
+    return max(1, BLOCK_DOUBLES // doubles)
 
 
 def block_risks(d, k, spec, seed, smooth, point, indices) -> np.ndarray:
@@ -138,34 +145,18 @@ def block_risks(d, k, spec, seed, smooth, point, indices) -> np.ndarray:
     estimator.fit of their stacked observations (module docstring)."""
     basis, noise_factor = point
     tau, horizon = basis.tau, basis.horizon
-    bartlett = _bartlett(d, k, spec, basis)
-    # Zero columns change no fit and no risk.  They widen the narrower of a
-    # smooth truth and its estimate, and tau = 1 to the two columns
-    # build_identity needs.
-    fit_width = k + d if bartlett else max(tau, 2)
-    if bartlett:
-        lower, diagonal = np.tril_indices(d, -1), np.diag_indices(d)
-        dof = horizon - k - np.arange(d)
-    observations, truths = [], []
     # A pool thread starts from numpy's default error state, not main's.
     with np.errstate(**FP_ERRORS):
+        if _bartlett(d, k, spec, basis):
+            return _bartlett_risks(d, k, spec.sigma, seed, horizon, indices)
+        # Zero columns change no fit and no risk.  They widen the narrower of
+        # a smooth truth and its estimate, and tau = 1 to the two columns
+        # build_identity needs.
+        fit_width = max(tau, 2)
+        observations, truths = [], []
         for idx in indices:
             eps_seed = noise.replication_seed(seed, 2 * idx + 1)
             u, v = truth(d, k, noise.replication_seed(seed, 2 * idx), tau, smooth)
-            if bartlett:
-                # Z = [A + sigma E1 | sigma Lb] against [A | 0]: from eps_seed
-                # E1, then the strict lower triangle of Lb in np.tril_indices
-                # order, then its diagonal sqrt(chi^2_{T-k-i}), i = 0..d-1.
-                a = u @ np.linalg.qr(v.T, mode="r").T
-                rng = np.random.default_rng(eps_seed)
-                z = np.zeros((d, fit_width))
-                z[:, :k] = a + spec.sigma * rng.standard_normal((d, k))
-                factor = z[:, k:]
-                factor[lower] = spec.sigma * rng.standard_normal(d * (d - 1) // 2)
-                factor[diagonal] = spec.sigma * np.sqrt(rng.chisquare(dof))
-                observations.append(z)
-                truths.append(_widen(a, fit_width))
-                continue
             # x_tilde starts as the projected noise E L^T / c, which is E
             # itself for the identity basis.
             if noise_factor is None:
@@ -187,6 +178,36 @@ def block_risks(d, k, spec, seed, smooth, point, indices) -> np.ndarray:
                          * estimator.empirical_risk(_widen(a_hat, b.shape[1]), b)
                          / (d * horizon)
                          for a_hat, b in zip(model.m_tilde_hat, truths)])
+
+
+def _bartlett_risks(d, k, sigma, seed, horizon, indices) -> np.ndarray:
+    """block_risks on the Bartlett route.  Each replication draws, from its
+    own seeds, A = U R^T, then E1, the strict lower triangle of Lb in
+    np.tril_indices order and the chi^2_{T-k-i} of its diagonal, i = 0..d-1.
+    Z = [A + sigma E1 | sigma Lb] is then assembled, fitted and scored
+    against [A | 0] once over the whole block."""
+    n, lower = len(indices), np.tril_indices(d, -1)
+    a, e1 = np.empty((n, d, k)), np.empty((n, d, k))
+    below, chi2 = np.empty((n, lower[0].size)), np.empty((n, d))
+    rows = np.arange(d)
+    dof = horizon - k - rows
+    for i, idx in enumerate(indices):
+        u, v = truth(d, k, noise.replication_seed(seed, 2 * idx), horizon, None)
+        a[i] = u @ np.linalg.qr(v.T, mode="r").T
+        rng = np.random.default_rng(noise.replication_seed(seed, 2 * idx + 1))
+        rng.standard_normal(out=e1[i])
+        rng.standard_normal(out=below[i])
+        chi2[i] = rng.chisquare(dof)
+    z = np.zeros((n, d, k + d))
+    z[:, :, :k] = a + sigma * e1
+    factor = z[:, :, k:]
+    factor[:, lower[0], lower[1]] = sigma * below
+    factor[:, rows, rows] = sigma * np.sqrt(chi2)
+    # An identity basis has c = 1.  The sum over a C-contiguous (n, d, w)
+    # stack adds each matrix in the order of its sum alone.
+    diff = estimator.fit(z, structure.build_identity(k + d), k).m_tilde_hat
+    diff[:, :, :k] -= a
+    return np.sum(diff ** 2, axis=(1, 2)) / (d * horizon)
 
 
 def loglog_slope(rates, means):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from strucfact import (NoiseSpec, SmoothFactorSpec, build_identity,
                        build_periodic, build_trig, expand, fit, linalg,
                        predict, project, replication_seed, risk, sample_noise)
-from strucfact import cli, rates
+from strucfact import cli, estimator, rates
 from strucfact.cli import main, read_matrix, write_matrix
 
 
@@ -122,6 +122,13 @@ class TestSimulate:
         bad = dict(SIM_CFG, tau=5)  # 24 not divisible by 5
         code, _ = run(tmp_path, "simulate", bad, "sim_bad2")
         assert code == 2
+
+    def test_a_tau_that_misfits_the_horizon_names_tau(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate", dict(SIM_CFG, T=48, tau=7), "sim")
+        err = assert_rejected(capsys, code, out)
+        assert err.startswith(
+            "config error: tau: horizon 48 must be divisible by tau 7 (")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("key, value", [
         ("k", 1.5), ("k", "2"), ("d", 3.0), ("T", "24"), ("seed", "x"),
@@ -547,6 +554,15 @@ class TestRateCheck:
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_a_tau_that_misfits_the_horizon_names_tau(self, tmp_path, capsys):
+        cfg = dict(self.small_cfg(), scenario="periodic", tau=7,
+                   sweep_T=[48, 96, 192, 384])
+        code, out = run(tmp_path, "rate-check", cfg, "rate_bad")
+        err = assert_rejected(capsys, code, out)
+        assert err.startswith(
+            "config error: tau: horizon 48 must be divisible by tau 7 (")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("replications", [0, -1, 2.5, True, "3"])
     def test_bad_replications_rejected(self, tmp_path, replications):
         cfg = dict(self.small_cfg(), replications=replications)
@@ -629,23 +645,51 @@ ORACLE_NOISE = {"iid": NoiseSpec("iid", 0.5),
                 "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
 
 
-def bartlett_oracle_risk(d, k, horizon, sigma, seed, idx):
-    """The risk of an identity-basis iid replication recomputed from its own
-    draws: the truth U V as A Q^T (V^T = Q R, A = U R^T), E1 and the Bartlett
-    factor Lb from the noise seed, the top-k eigenprojector P of
-    Y Y^T + W for Y = A + sigma E1 and W = sigma^2 Lb Lb^T, and then
-    ||P Y - A||_F^2 + tr(P W), over d T."""
+def bartlett_draws(d, k, horizon, seed, idx):
+    """Replication idx of an identity-basis iid point, drawn from its own
+    seeds: A = U R^T for the truth U V (V^T = Q R), then E1 and the Bartlett
+    factor Lb from the noise seed."""
     u, v = rates.truth(d, k, replication_seed(seed, 2 * idx), horizon, None)
-    a = u @ np.linalg.qr(v.T)[1].T
+    a = u @ np.linalg.qr(v.T, mode="r").T
     rng = np.random.default_rng(replication_seed(seed, 2 * idx + 1))
-    y = a + sigma * rng.standard_normal((d, k))
+    e1 = rng.standard_normal((d, k))
     lb = np.zeros((d, d))
     lb[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
     lb[np.diag_indices(d)] = np.sqrt(rng.chisquare(horizon - k - np.arange(d)))
+    return a, e1, lb
+
+
+def bartlett_oracle_risk(d, k, horizon, sigma, seed, idx):
+    """The risk of an identity-basis iid replication recomputed from its own
+    draws: the top-k eigenprojector P of Y Y^T + W for Y = A + sigma E1 and
+    W = sigma^2 Lb Lb^T, and then ||P Y - A||_F^2 + tr(P W), over d T."""
+    a, e1, lb = bartlett_draws(d, k, horizon, seed, idx)
+    y = a + sigma * e1
     w = sigma ** 2 * lb @ lb.T
     q = np.linalg.eigh(y @ y.T + w)[1][:, -k:]
     p = q @ q.T
     return (np.sum((p @ y - a) ** 2) + np.trace(p @ w)) / (d * horizon)
+
+
+@pytest.mark.parametrize("d, k, horizon", [(6, 2, 48), (6, 2, 8), (1, 1, 4),
+                                           (3, 3, 6)])
+def test_a_bartlett_block_equals_one_fit_per_replication(d, k, horizon):
+    """A Bartlett block, assembled, fitted and scored as one stack, gives
+    bit for bit the risks of fitting each replication's own d x (k + d)
+    matrix Z = [A + sigma E1 | sigma Lb] alone and scoring it against
+    [A | 0] with empirical_risk."""
+    seed, sigma = 5, 0.5
+    spec, basis = NoiseSpec("iid", sigma), build_identity(horizon)
+    _, point = rates.build_point(spec, basis, d, k, 1.0, None, None)
+    want = []
+    for idx in range(7):
+        a, e1, lb = bartlett_draws(d, k, horizon, seed, idx)
+        z = np.hstack([a + sigma * e1, sigma * lb])
+        model = fit(z, build_identity(k + d), k)
+        want.append(estimator.empirical_risk(
+            model.m_tilde_hat, np.hstack([a, np.zeros((d, d))])) / (d * horizon))
+    got = rates.block_risks(d, k, spec, seed, None, point, range(7))
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -749,17 +793,20 @@ def test_a_risk_does_not_depend_on_its_block(route):
 
 
 @pytest.mark.parametrize("d, spec, basis, smooth, size", [
-    # 2^14 doubles over the d x (k + d) Bartlett statistic Z.
+    # 3 * 2^13 doubles over what a Bartlett replication keeps: Z, A, E1 and
+    # the normals and chi-squares of Lb, d (k + d) + 2 d k + d (d - 1) / 2 + d.
     (50, NoiseSpec("iid", 0.5), build_identity(250), None, 6),
     # A d x T noise sample is alone, even where it outgrows the budget.
     (50, NoiseSpec("ar1", 0.5, rho=0.5), build_identity(250), None, 1),
     (50, NoiseSpec("iid", 0.5), build_periodic(5, 10**6), None, 1),
-    (8, NoiseSpec("iid", 0.5), build_periodic(4, 64), None, 32),
+    (8, NoiseSpec("iid", 0.5), build_periodic(4, 64), None, 48),
     # The smooth truth's 2 n_terms + 1 = 193 coefficients, not tau = 3.
     (30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
-     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=96), 2),
+     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=96), 4),
     (30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
-     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=1), 182),
+     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=1), 273),
+    # The Bartlett count again, at d = 20: 730 doubles, where Z alone is 440.
+    (20, NoiseSpec("iid", 0.5), build_identity(44), None, 33),
 ])
 def test_a_block_holds_what_fits_its_byte_budget(d, spec, basis, smooth, size):
     assert rates.block_size(d, 2, spec, smooth, basis) == size
@@ -1119,6 +1166,11 @@ class TestAtomicOut:
         assert out.stat().st_mode == plain.stat().st_mode
 
 
+# main() followed by a full interpreter exit, where `python -m strucfact.cli`
+# skips the teardown in which an unclosed file would be reported.
+MAIN_THEN_EXIT = "import sys; from strucfact import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
 def test_simulate_then_fit_run_clean_in_dev_mode(tmp_path):
     # -X dev turns on ResourceWarning, so an unclosed file would reach stderr.
     configs = {"simulate": SIM_CFG,
@@ -1128,11 +1180,39 @@ def test_simulate_then_fit_run_clean_in_dev_mode(tmp_path):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps(configs[command]))
         result = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "strucfact.cli",
+            [sys.executable, "-X", "dev", "-W", "error", "-c", MAIN_THEN_EXIT,
              command, "--config", str(cfg), "--out", str(tmp_path / out)],
             env=_package_env(), capture_output=True, text=True)
         assert result.returncode == 0 and result.stderr == "", result.stderr
     assert (tmp_path / "fitted" / "M_hat.csv").exists()
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("simulate", SIM_CFG, 0),
+    ("rate-check", {"scenario": "unstructured", "d": 6, "k": 2,
+                    "noise": {"kind": "iid", "sigma": 0.5},
+                    "sweep_T": [8, 16, 32, 64], "replications": 4}, 0),
+    ("simulate", dict(SIM_CFG, typo_key=1), 2),
+    ("simulate", dict(SIM_CFG, noise={"kind": "iid", "sigma": 1e200}), 3),
+])
+def test_the_module_entry_point_matches_main(tmp_path, capsys, command, cfg,
+                                             code):
+    """`python -m strucfact.cli`, which ends without interpreter teardown,
+    gives main's exit code, stderr line and output bytes."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(cfg_path), "--threads", "2", "--out"]
+    assert main([*argv, str(tmp_path / "in_process")]) == code
+    err = capsys.readouterr().err
+    result = subprocess.run(
+        [sys.executable, "-m", "strucfact.cli", *argv, str(tmp_path / "child")],
+        env=_package_env(), capture_output=True, text=True)
+    assert result.returncode == code
+    assert result.stderr == err and err.count("\n") == (code != 0)
+    if code == 0:
+        assert dir_hash(tmp_path / "child") == dir_hash(tmp_path / "in_process")
+    else:
+        assert not (tmp_path / "child").exists()
 
 
 # ---------- fuzzing the exit-code contract ----------
