@@ -34,20 +34,21 @@ paired z-scores of mean -0.20 and standard deviation 0.81.
 
 Replications run in blocks of consecutive indices at one point.
 block_risks draws each replication of a block alone, from its own seeds and
-in the same order as it would alone.  On the Bartlett route the loop keeps
-only those draws, each in its row of a preallocated block array; Z is then
-assembled for the whole block by three assignments, fitted by one
-estimator.fit and scored by one sum of squares over the (n, d, k + d)
-stack.  The other routes stack the block's d x width observations into one
-(n, d, width) array, fit it with one estimator.fit and score each
-replication.  The fit's Gram products, eigensolves and Ritz SVDs run once
-over the stack, and numpy releases the GIL in each, so another pool thread
-draws meanwhile.  Each matrix of a stack is fitted and summed bit for bit
-as it would be alone, so no risk depends on its block, nor a report on
---threads.  block_size sizes a block by what each replication keeps until
-the fit, within BLOCK_DOUBLES: 6 replications of the Bartlett route at
-d = 50, and one where a replication samples d x T noise with d T above
-BLOCK_DOUBLES / 2, so peak memory does not grow there.
+in the same order as it would alone, into a stack x of the (n, d, w)
+observations it fits and one of the (n, d, wt) truths it is scored against:
+on the Bartlett route Z (w = k + d), assembled by three assignments, and A
+(wt = k); elsewhere the projected noise plus the truth's first tau
+coefficients (w = max(tau, 2): zero columns change no fit) and U V (wt =
+tau, or 2 n_terms + 1 for a smooth truth).  One tail fits x by one
+estimator.fit and scores the block by one sum of squares of the estimate,
+zero-padded to max(w, wt) columns, less the truth.  The fit's Gram
+products, eigensolves and Ritz SVDs run once over the stack, and numpy
+releases the GIL in each, so another pool thread draws meanwhile.  Each
+matrix of a stack is fitted and summed bit for bit as it would be alone, so
+no risk depends on its block, nor a report on --threads.  block_size sizes
+a block by what each replication keeps until the fit, within BLOCK_DOUBLES:
+6 replications of the Bartlett route at d = 50, and one where a d x T noise
+sample outgrows the budget, so peak memory does not grow there.
 """
 from __future__ import annotations
 
@@ -60,11 +61,12 @@ from . import estimator, noise, sobolev, structure
 # numpy error state under which an overflow or a NaN raises FloatingPointError
 # (exit 3) instead of printing a RuntimeWarning.
 FP_ERRORS = {"over": "raise", "invalid": "raise"}
-# Doubles (192 KiB) that a block's replications may keep until its fit: 6
-# Bartlett replications at d = 50.  400 of them on two threads took 0.23 s
-# in blocks of 6, against 0.27 s in blocks of 4 (2^14 doubles) and 0.42 s
-# one at a time; blocks of 8 took 0.21 s and added 0.4 MB of peak RSS, and
-# blocks of 32 took 0.22 s and added 5.7 MB (warm, 2-core Xeon).
+# Doubles (192 KiB) that a block's replications may keep until its fit: their
+# rows of both stacks and their other draws (block_size), 6 Bartlett
+# replications at d = 50.  400 of them on two threads took 0.23 s in blocks
+# of 6, against 0.27 s in blocks of 4 (2^14 doubles) and 0.42 s one at a
+# time; blocks of 8 took 0.21 s and added 0.4 MB of peak RSS, and blocks of
+# 32 took 0.22 s and added 5.7 MB (warm, 2-core Xeon).
 BLOCK_DOUBLES = 3 * 2 ** 13
 
 
@@ -108,15 +110,6 @@ def build_point(spec: noise.NoiseSpec, basis: structure.StructureBasis, d: int,
     return dict(row, theoretical_rate=rate), (basis, factor)
 
 
-def _widen(a: np.ndarray, width: int) -> np.ndarray:
-    """`a` with zero columns appended up to `width` columns."""
-    if a.shape[1] == width:
-        return a
-    wide = np.zeros((a.shape[0], width))
-    wide[:, :a.shape[1]] = a
-    return wide
-
-
 def _bartlett(d, k, spec, basis) -> bool:
     """Whether a point's replications take the Bartlett route (module docstring)."""
     return basis.kind == "identity" and spec.kind == "iid" and basis.horizon - k >= d
@@ -124,72 +117,79 @@ def _bartlett(d, k, spec, basis) -> bool:
 
 def block_size(d, k, spec, smooth, basis) -> int:
     """Replications per block at a point: as many as keep their arrays within
-    BLOCK_DOUBLES until their block is fitted, and at least one.  On the
-    Bartlett route that is Z (d x (k + d)), A and E1 (d x k each), and the
-    d (d - 1) / 2 normals and d chi-squares of Lb.  Otherwise it is the
-    widest d x width array: T where a replication samples d x T noise, and
-    for a trig basis the wider of the fit's tau and the 2 n_terms + 1
-    coefficients of the smooth truth."""
+    BLOCK_DOUBLES until their block is fitted, and at least one.  That is a
+    replication's rows of both stacks, plus on the Bartlett route E1 (d x k)
+    and the d (d - 1) / 2 normals and d chi-squares of Lb, and elsewhere a
+    d x T noise sample where the route samples one."""
     if _bartlett(d, k, spec, basis):
         doubles = d * (k + d) + 2 * d * k + d * (d - 1) // 2 + d
-    elif basis.kind == "trig":
-        doubles = d * max(basis.tau, 2, 2 * smooth.n_terms + 1)
     else:
-        doubles = d * basis.horizon
+        truth_width = basis.tau if smooth is None else 2 * smooth.n_terms + 1
+        sample = 0 if basis.kind == "trig" else basis.horizon
+        doubles = d * (max(basis.tau, 2) + truth_width + sample)
     return max(1, BLOCK_DOUBLES // doubles)
 
 
 def block_risks(d, k, spec, seed, smooth, point, indices) -> np.ndarray:
     """simulate -> fit -> normalized risk of each replication in `indices` at
     one point (basis, R), all in the coefficient space of its basis, with one
-    estimator.fit of their stacked observations (module docstring)."""
-    basis, noise_factor = point
-    tau, horizon = basis.tau, basis.horizon
+    estimator.fit of the block's observations (module docstring)."""
+    basis = point[0]
     # A pool thread starts from numpy's default error state, not main's.
     with np.errstate(**FP_ERRORS):
-        if _bartlett(d, k, spec, basis):
-            return _bartlett_risks(d, k, spec.sigma, seed, horizon, indices)
-        # Zero columns change no fit and no risk.  They widen the narrower of
-        # a smooth truth and its estimate, and tau = 1 to the two columns
-        # build_identity needs.
-        fit_width = max(tau, 2)
-        observations, truths = [], []
-        for idx in indices:
-            eps_seed = noise.replication_seed(seed, 2 * idx + 1)
-            u, v = truth(d, k, noise.replication_seed(seed, 2 * idx), tau, smooth)
-            # x_tilde starts as the projected noise E L^T / c, which is E
-            # itself for the identity basis.
-            if noise_factor is None:
-                x_tilde = noise.sample_noise(spec, d, horizon, eps_seed)
-                if basis.kind == "periodic":
-                    x_tilde = structure.project(x_tilde, basis)
-            else:
-                x_tilde = (np.random.default_rng(eps_seed).standard_normal((d, tau))
-                           @ noise_factor)
-            b = _widen(u @ v, max(v.shape[1], fit_width))
-            x_tilde += b[:, :tau]
-            observations.append(_widen(x_tilde, fit_width))
-            truths.append(b)
-        # One observation is its own stack, so a d x T one is never copied.
-        x = (observations[0][None] if len(observations) == 1
-             else np.stack(observations))
-        model = estimator.fit(x, structure.build_identity(fit_width), k)
-        return np.array([basis.gram_constant
-                         * estimator.empirical_risk(_widen(a_hat, b.shape[1]), b)
-                         / (d * horizon)
-                         for a_hat, b in zip(model.m_tilde_hat, truths)])
+        draw = _bartlett_block if _bartlett(d, k, spec, basis) else _projected_block
+        x, truths = draw(d, k, spec, seed, smooth, point, indices)
+        width = x.shape[2]
+        estimate = estimator.fit(x, structure.build_identity(width), k).m_tilde_hat
+        # The narrower stack comes off the wider one: the padded estimate less
+        # the truth, or where the truth is wider its negation, same squares.
+        diff, less = ((estimate, truths) if width >= truths.shape[2]
+                      else (truths, estimate))
+        diff[:, :, :less.shape[2]] -= less
+        # The sum over a C-contiguous (n, d, w) stack adds each matrix in the
+        # order of its sum alone.
+        return (basis.gram_constant * np.sum(np.square(diff, out=diff), axis=(1, 2))
+                / (d * basis.horizon))
 
 
-def _bartlett_risks(d, k, sigma, seed, horizon, indices) -> np.ndarray:
-    """block_risks on the Bartlett route.  Each replication draws, from its
-    own seeds, A = U R^T, then E1, the strict lower triangle of Lb in
-    np.tril_indices order and the chi^2_{T-k-i} of its diagonal, i = 0..d-1.
-    Z = [A + sigma E1 | sigma Lb] is then assembled, fitted and scored
-    against [A | 0] once over the whole block."""
-    n, lower = len(indices), np.tril_indices(d, -1)
+def _projected_block(d, k, spec, seed, smooth, point, indices):
+    """The observations and truths of a block on the time-domain, periodic and
+    trig routes.  Each replication draws its truth U V and its projected noise
+    E L^T / c (E itself for the identity basis, z @ R for a trig one), and
+    observes the noise plus the truth's first tau coefficients."""
+    basis, noise_factor = point
+    tau = basis.tau
+    for i, idx in enumerate(indices):
+        u, v = truth(d, k, noise.replication_seed(seed, 2 * idx), tau, smooth)
+        b = u @ v
+        eps_seed = noise.replication_seed(seed, 2 * idx + 1)
+        if noise_factor is not None:
+            e = np.random.default_rng(eps_seed).standard_normal((d, tau)) @ noise_factor
+        else:
+            e = noise.sample_noise(spec, d, basis.horizon, eps_seed)
+            if basis.kind == "periodic":
+                e = structure.project(e, basis)
+        e[:, :b.shape[1]] += b[:, :tau]
+        if i == 0:
+            # After the first draw, so that a block of one never holds a d x T
+            # sample beside its stacks, and a d beyond any address space fails
+            # in U's draw, as a MemoryError.  tau = 1 gets a zero column.
+            x = np.zeros((len(indices), d, max(tau, 2)))
+            truths = np.empty((len(indices), d, b.shape[1]))
+        x[i, :, :tau], truths[i] = e, b
+    return x, truths
+
+
+def _bartlett_block(d, k, spec, seed, smooth, point, indices):
+    """The observations Z and truths A of a block on the Bartlett route.  Each
+    replication draws, from its own seeds, A = U R^T, then E1, the strict
+    lower triangle of Lb in np.tril_indices order and the chi^2_{T-k-i} of
+    its diagonal, i = 0..d-1.  Z = [A + sigma E1 | sigma Lb] is then
+    assembled for the whole block."""
+    n, lower, sigma = len(indices), np.tril_indices(d, -1), spec.sigma
     a, e1 = np.empty((n, d, k)), np.empty((n, d, k))
     below, chi2 = np.empty((n, lower[0].size)), np.empty((n, d))
-    rows = np.arange(d)
+    rows, horizon = np.arange(d), point[0].horizon
     dof = horizon - k - rows
     for i, idx in enumerate(indices):
         u, v = truth(d, k, noise.replication_seed(seed, 2 * idx), horizon, None)
@@ -203,11 +203,7 @@ def _bartlett_risks(d, k, sigma, seed, horizon, indices) -> np.ndarray:
     factor = z[:, :, k:]
     factor[:, lower[0], lower[1]] = sigma * below
     factor[:, rows, rows] = sigma * np.sqrt(chi2)
-    # An identity basis has c = 1.  The sum over a C-contiguous (n, d, w)
-    # stack adds each matrix in the order of its sum alone.
-    diff = estimator.fit(z, structure.build_identity(k + d), k).m_tilde_hat
-    diff[:, :, :k] -= a
-    return np.sum(diff ** 2, axis=(1, 2)) / (d * horizon)
+    return z, a
 
 
 def loglog_slope(rates, means):

@@ -671,25 +671,57 @@ def bartlett_oracle_risk(d, k, horizon, sigma, seed, idx):
     return (np.sum((p @ y - a) ** 2) + np.trace(p @ w)) / (d * horizon)
 
 
+def one_replication_draw(d, k, spec, seed, smooth, point, idx):
+    """Replication idx at a point (basis, R), drawn alone from its own seeds:
+    the observation it fits and the truth it is scored against.  On the
+    Bartlett route they are Z = [A + sigma E1 | sigma Lb] and A; elsewhere
+    the projected noise plus the truth's first tau coefficients, zero-padded
+    to the two columns build_identity needs, and U V."""
+    basis, factor = point
+    if basis.kind == "identity" and spec.kind == "iid" and basis.horizon - k >= d:
+        a, e1, lb = bartlett_draws(d, k, basis.horizon, seed, idx)
+        return np.hstack([a + spec.sigma * e1, spec.sigma * lb]), a
+    tau = basis.tau
+    u, v = rates.truth(d, k, replication_seed(seed, 2 * idx), tau, smooth)
+    b = u @ v
+    eps_seed = replication_seed(seed, 2 * idx + 1)
+    if factor is not None:
+        x = np.random.default_rng(eps_seed).standard_normal((d, tau)) @ factor
+    else:
+        x = sample_noise(spec, d, basis.horizon, eps_seed)
+        if basis.kind == "periodic":
+            x = project(x, basis)
+    cols = min(tau, b.shape[1])
+    x[:, :cols] += b[:, :cols]
+    return np.hstack([x, np.zeros((d, max(tau, 2) - tau))]), b
+
+
+def assert_block_equals_one_fit_per_replication(d, k, spec, basis, smooth):
+    """A block of 7, drawn into two stacks, fitted and scored as one, gives
+    bit for bit the risks of fitting each replication's observation alone
+    and scoring it with empirical_risk against its truth, both zero-padded
+    to the wider of the two."""
+    seed = 5
+    _, point = rates.build_point(spec, basis, d, k, 1.0, smooth, 1.0)
+    want = []
+    for idx in range(7):
+        x, b = one_replication_draw(d, k, spec, seed, smooth, point, idx)
+        a_hat = fit(x, build_identity(x.shape[1]), k).m_tilde_hat
+        width = max(a_hat.shape[1], b.shape[1])
+        a_hat, b = (np.hstack([m, np.zeros((d, width - m.shape[1]))])
+                    for m in (a_hat, b))
+        want.append(basis.gram_constant * estimator.empirical_risk(a_hat, b)
+                    / (d * basis.horizon))
+    got = rates.block_risks(d, k, spec, seed, smooth, point, range(7))
+    assert got.tolist() == want
+
+
 @pytest.mark.parametrize("d, k, horizon", [(6, 2, 48), (6, 2, 8), (1, 1, 4),
                                            (3, 3, 6)])
 def test_a_bartlett_block_equals_one_fit_per_replication(d, k, horizon):
-    """A Bartlett block, assembled, fitted and scored as one stack, gives
-    bit for bit the risks of fitting each replication's own d x (k + d)
-    matrix Z = [A + sigma E1 | sigma Lb] alone and scoring it against
-    [A | 0] with empirical_risk."""
-    seed, sigma = 5, 0.5
-    spec, basis = NoiseSpec("iid", sigma), build_identity(horizon)
-    _, point = rates.build_point(spec, basis, d, k, 1.0, None, None)
-    want = []
-    for idx in range(7):
-        a, e1, lb = bartlett_draws(d, k, horizon, seed, idx)
-        z = np.hstack([a + sigma * e1, sigma * lb])
-        model = fit(z, build_identity(k + d), k)
-        want.append(estimator.empirical_risk(
-            model.m_tilde_hat, np.hstack([a, np.zeros((d, d))])) / (d * horizon))
-    got = rates.block_risks(d, k, spec, seed, None, point, range(7))
-    assert got.tolist() == want
+    """The Bartlett route at four shapes, d = 1 and k = d among them."""
+    assert_block_equals_one_fit_per_replication(
+        d, k, NoiseSpec("iid", 0.5), build_identity(horizon), None)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -774,6 +806,19 @@ BLOCK_ROUTES = {
 }
 
 
+@pytest.mark.parametrize("d, k, spec, basis, smooth", [
+    *(pytest.param(6, 2, *case, id=route) for route, case in BLOCK_ROUTES.items()),
+    # Fit width 2, truth width 1.
+    pytest.param(6, 1, ORACLE_NOISE["iid"], build_periodic(1, ORACLE_T), None,
+                 id="periodic-tau1"),
+    # tau = 19, wider than the truth's 2 n_terms + 1 = 13 coefficients.
+    pytest.param(6, 2, ORACLE_NOISE["ar1"], build_trig(9, ORACLE_T),
+                 ORACLE_SMOOTH, id="trig-wide"),
+])
+def test_a_block_equals_one_fit_per_replication(d, k, spec, basis, smooth):
+    assert_block_equals_one_fit_per_replication(d, k, spec, basis, smooth)
+
+
 @pytest.mark.parametrize("route", list(BLOCK_ROUTES))
 def test_a_risk_does_not_depend_on_its_block(route):
     """Replications 0-6 give the same risks alone, in blocks of 3 (the last
@@ -793,23 +838,56 @@ def test_a_risk_does_not_depend_on_its_block(route):
 
 
 @pytest.mark.parametrize("d, spec, basis, smooth, size", [
-    # 3 * 2^13 doubles over what a Bartlett replication keeps: Z, A, E1 and
-    # the normals and chi-squares of Lb, d (k + d) + 2 d k + d (d - 1) / 2 + d.
-    (50, NoiseSpec("iid", 0.5), build_identity(250), None, 6),
-    # A d x T noise sample is alone, even where it outgrows the budget.
-    (50, NoiseSpec("ar1", 0.5, rho=0.5), build_identity(250), None, 1),
-    (50, NoiseSpec("iid", 0.5), build_periodic(5, 10**6), None, 1),
-    (8, NoiseSpec("iid", 0.5), build_periodic(4, 64), None, 48),
-    # The smooth truth's 2 n_terms + 1 = 193 coefficients, not tau = 3.
-    (30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
-     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=96), 4),
-    (30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
-     SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=1), 273),
+    # 3 * 2^13 doubles over what a replication keeps until the fit.  On the
+    # Bartlett route: Z, A, E1 and the normals and chi-squares of Lb,
+    # d (k + d) + 2 d k + d (d - 1) / 2 + d.
+    pytest.param(50, NoiseSpec("iid", 0.5), build_identity(250), None, 6,
+                 id="bartlett-d50"),
+    # Elsewhere: both stacks, d max(tau, 2) and d times the truth's width,
+    # and a d x T noise sample where the route samples one.  Such a sample
+    # is alone, even where it outgrows the budget.
+    pytest.param(50, NoiseSpec("ar1", 0.5, rho=0.5), build_identity(250), None,
+                 1, id="identity-ar1"),
+    pytest.param(50, NoiseSpec("iid", 0.5), build_periodic(5, 10**6), None, 1,
+                 id="periodic-long"),
+    pytest.param(8, NoiseSpec("iid", 0.5), build_periodic(4, 64), None, 42,
+                 id="periodic-short"),
+    # The smooth truth's 2 n_terms + 1 coefficients beside tau = 3: 193, then 3.
+    pytest.param(30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
+                 SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=96), 4,
+                 id="trig-wide-truth"),
+    pytest.param(30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
+                 SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=1), 136,
+                 id="trig-narrow-truth"),
     # The Bartlett count again, at d = 20: 730 doubles, where Z alone is 440.
-    (20, NoiseSpec("iid", 0.5), build_identity(44), None, 33),
+    pytest.param(20, NoiseSpec("iid", 0.5), build_identity(44), None, 33,
+                 id="bartlett-d20"),
 ])
 def test_a_block_holds_what_fits_its_byte_budget(d, spec, basis, smooth, size):
     assert rates.block_size(d, 2, spec, smooth, basis) == size
+
+
+@pytest.mark.parametrize("spec, basis, bound", [
+    pytest.param(NoiseSpec("ar1", 0.5, rho=0.7), build_identity(20000), 4.15,
+                 id="identity-ar1"),
+    pytest.param(NoiseSpec("iid", 0.5), build_periodic(4, 20000), 2.05,
+                 id="periodic-iid"),
+])
+def test_a_block_of_one_peaks_within_its_bound(spec, basis, bound):
+    """One block of one replication at d = 50, T = 20000 allocates at most
+    `bound` times a d x T array at its peak, its noise sample included.  The
+    bounds were fixed before the block's draws went into preallocated
+    stacks, where the peaks read 4.12 and 2.00 times."""
+    d = 50
+    _, point = rates.build_point(spec, basis, d, 2, 1.0, None, None)
+    rates.block_risks(d, 2, spec, 1, None, point, [0])
+    tracemalloc.start()
+    try:
+        rates.block_risks(d, 2, spec, 1, None, point, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * d * basis.horizon
 
 
 LAW_SPECS = {"iid": NoiseSpec("iid", 0.5), "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
