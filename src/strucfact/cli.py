@@ -488,8 +488,8 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
         rows, points = zip(*[rates.build_point(spec, b, d, k, p["s"], smooth,
                                                p.get("c_beta_l")) for b in bases])
         means, stds = _mean_risks(replicate, points, reps, threads,
-                                  [rates.block_size(d, k, spec, smooth, b)
-                                   for b in bases])
+                                  [rates.block_size(d, k, smooth, point)
+                                   for point in points])
         for row, mu, sd in zip(rows, means, stds):
             row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
 

@@ -128,7 +128,9 @@ def sample_noise(spec: NoiseSpec, d: int, horizon: int, seed: int) -> np.ndarray
     if spec.kind == "iid":
         return draws
     if spec.kind == "ma1":
-        return draws[:, 1:] - spec.theta * draws[:, :-1]
+        # Into the scaled copy: the draws and one d x T array at the peak.
+        out = spec.theta * draws[:, :-1]
+        return np.subtract(draws[:, 1:], out, out=out)
     _ar1_scan(draws, spec.rho)
     return draws[:, 1:]
 

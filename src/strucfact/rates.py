@@ -8,13 +8,24 @@ written over the wider of its own and the fit's trig basis, whose rows stay
 orthogonal because 2 max(n_terms, n_freq) < T.  So one replication draws the
 true coefficients B, adds the projected noise, fits it through
 build_identity(tau), and returns c ||A_hat - B||_F^2 / (d T), without ever
-forming a d x T signal.  For a trig basis the projected noise is z @ R: z is a
-d x tau standard normal drawn from the replication's noise seed, and R is the
-tau x tau factor of its row covariance L Sigma L^T / c^2, built once per
-point by noise.projected_noise_factor (which runs the AR(1) filter over the
-tau rows of L, never over a sample).  A periodic basis projects a noise
-sample, and an identity basis with MA(1) or AR(1) noise, or with T - k < d,
-takes one as it is, which costs O(d T).
+forming a d x T signal.  build_point picks each point's noise route once.
+On the factor route, every trig basis and a periodic one with 2 tau <= d, the
+projected noise is z @ R: z is a d x tau standard normal drawn from the
+replication's noise seed, and R is the tau x tau factor of its row
+covariance L Sigma L^T / c^2, built once per point by
+noise.projected_noise_factor (which runs the AR(1) filter over the tau rows
+of L, never over a sample).  On the sample route a periodic basis with
+2 tau > d projects a d x T noise sample, and an identity basis with MA(1) or
+AR(1) noise, or with T - k < d, takes one as it is, which costs O(d T) per
+replication.
+
+The periodic rule bounds memory; time needs none.  A replication through
+z @ R was never slower than sample and project (0.43-0.58 ms against
+0.84-26 ms at d = 50, and no slower at d = 400 and 1000 even at tau = T, on
+one OpenBLAS thread), so T is not in the rule.  But building R holds about
+four tau x T arrays, and a sampled replication about two d x T arrays: at
+d = 50, AR(1), T = 96000 and tau = 25 the build peaked at 102 MB of RSS in
+0.30 s, and one sampled replication at 114 MB in 0.43 s.
 
 An identity basis with iid noise and T - k >= d never draws the d x T noise
 either.  Write the truth as A Q^T, for the QR factorization V^T = Q R and
@@ -47,8 +58,9 @@ releases the GIL in each, so another pool thread draws meanwhile.  Each
 matrix of a stack is fitted and summed bit for bit as it would be alone, so
 no risk depends on its block, nor a report on --threads.  block_size sizes
 a block by what each replication keeps until the fit, within BLOCK_DOUBLES:
-6 replications of the Bartlett route at d = 50, and one where a d x T noise
-sample outgrows the budget, so peak memory does not grow there.
+6 replications of the Bartlett route at d = 50, and one where the sample
+route's d x T noise sample outgrows the budget, so peak memory does not grow
+there.
 """
 from __future__ import annotations
 
@@ -87,13 +99,14 @@ def truth(d: int, k: int, seed: int, width: int,
 def build_point(spec: noise.NoiseSpec, basis: structure.StructureBasis, d: int,
                 k: int, s: float, smooth: sobolev.SmoothFactorSpec | None,
                 c_beta_l: float | None):
-    """A rate-check point: (report row with theoretical_rate, noise law (basis, R)).
+    """A rate-check point: (report row with theoretical_rate, noise law
+    (basis, route, R)).
 
-    For a trig basis L, R is the tau x tau factor of the projected noise
-    E L^T / c: R^T R is its row covariance L Sigma L^T / c^2.  It is None for
-    identity and periodic bases, which sample their noise or, for an identity
-    basis with iid noise and T - k >= d, draw a Bartlett factor (module
-    docstring).
+    The route is decided here, once (module docstring): "bartlett" for an
+    identity basis with iid noise and T - k >= d, "factor" for a trig basis
+    and for a periodic one with 2 tau <= d, and "sample" otherwise.  On the
+    factor route R is the tau x tau factor of the projected noise E L^T / c,
+    R^T R = L Sigma L^T / c^2, and elsewhere it is None.
     """
     tau, horizon = basis.tau, basis.horizon
     if k > min(d, tau):
@@ -105,39 +118,40 @@ def build_point(spec: noise.NoiseSpec, basis: structure.StructureBasis, d: int,
         row["n_freq"] = n_freq = tau // 2
         rate += c_beta_l * float(n_freq) ** (-2 * smooth.beta)
     factor = None
-    if basis.kind == "trig":
+    if basis.kind == "identity" and spec.kind == "iid" and horizon - k >= d:
+        route = "bartlett"
+    elif basis.kind == "trig" or (basis.kind == "periodic" and 2 * tau <= d):
+        route = "factor"
         factor = noise.projected_noise_factor(spec, basis.rows) / basis.gram_constant
-    return dict(row, theoretical_rate=rate), (basis, factor)
+    else:
+        route = "sample"
+    return dict(row, theoretical_rate=rate), (basis, route, factor)
 
 
-def _bartlett(d, k, spec, basis) -> bool:
-    """Whether a point's replications take the Bartlett route (module docstring)."""
-    return basis.kind == "identity" and spec.kind == "iid" and basis.horizon - k >= d
-
-
-def block_size(d, k, spec, smooth, basis) -> int:
+def block_size(d, k, smooth, point) -> int:
     """Replications per block at a point: as many as keep their arrays within
     BLOCK_DOUBLES until their block is fitted, and at least one.  That is a
     replication's rows of both stacks, plus on the Bartlett route E1 (d x k)
-    and the d (d - 1) / 2 normals and d chi-squares of Lb, and elsewhere a
-    d x T noise sample where the route samples one."""
-    if _bartlett(d, k, spec, basis):
+    and the d (d - 1) / 2 normals and d chi-squares of Lb, and on the sample
+    route its d x T noise sample."""
+    basis, route, _ = point
+    if route == "bartlett":
         doubles = d * (k + d) + 2 * d * k + d * (d - 1) // 2 + d
     else:
         truth_width = basis.tau if smooth is None else 2 * smooth.n_terms + 1
-        sample = 0 if basis.kind == "trig" else basis.horizon
+        sample = basis.horizon if route == "sample" else 0
         doubles = d * (max(basis.tau, 2) + truth_width + sample)
     return max(1, BLOCK_DOUBLES // doubles)
 
 
 def block_risks(d, k, spec, seed, smooth, point, indices) -> np.ndarray:
     """simulate -> fit -> normalized risk of each replication in `indices` at
-    one point (basis, R), all in the coefficient space of its basis, with one
+    one point (basis, route, R), all in the coefficient space of its basis, with one
     estimator.fit of the block's observations (module docstring)."""
-    basis = point[0]
+    basis, route, _ = point
     # A pool thread starts from numpy's default error state, not main's.
     with np.errstate(**FP_ERRORS):
-        draw = _bartlett_block if _bartlett(d, k, spec, basis) else _projected_block
+        draw = _bartlett_block if route == "bartlett" else _projected_block
         x, truths = draw(d, k, spec, seed, smooth, point, indices)
         width = x.shape[2]
         estimate = estimator.fit(x, structure.build_identity(width), k).m_tilde_hat
@@ -153,17 +167,18 @@ def block_risks(d, k, spec, seed, smooth, point, indices) -> np.ndarray:
 
 
 def _projected_block(d, k, spec, seed, smooth, point, indices):
-    """The observations and truths of a block on the time-domain, periodic and
-    trig routes.  Each replication draws its truth U V and its projected noise
-    E L^T / c (E itself for the identity basis, z @ R for a trig one), and
-    observes the noise plus the truth's first tau coefficients."""
-    basis, noise_factor = point
+    """The observations and truths of a block on the factor and sample routes.
+    Each replication draws its truth U V and its projected noise E L^T / c
+    (z @ R on the factor route; a sample, projected for a periodic basis, on
+    the sample route), and observes the noise plus the truth's first tau
+    coefficients."""
+    basis, route, noise_factor = point
     tau = basis.tau
     for i, idx in enumerate(indices):
         u, v = truth(d, k, noise.replication_seed(seed, 2 * idx), tau, smooth)
         b = u @ v
         eps_seed = noise.replication_seed(seed, 2 * idx + 1)
-        if noise_factor is not None:
+        if route == "factor":
             e = np.random.default_rng(eps_seed).standard_normal((d, tau)) @ noise_factor
         else:
             e = noise.sample_noise(spec, d, basis.horizon, eps_seed)

@@ -636,7 +636,10 @@ ORACLE_BASES = {
     # d = 6 and k = 2: T - k = d - 1 keeps an iid point's d x T sample, and
     # from T - k = d on it takes the Bartlett route.
     "unstructured": [build_identity(horizon) for horizon in (ORACLE_T, 7, 8)],
-    "periodic": [build_periodic(4, ORACLE_T), build_periodic(1, ORACLE_T)],
+    # 2 tau <= d takes the factor route: tau = 1, and tau = 3 at its edge;
+    # tau = 4 samples its noise.
+    "periodic": [build_periodic(4, ORACLE_T), build_periodic(1, ORACLE_T),
+                 build_periodic(3, ORACLE_T)],
     # Narrower than, as wide as, and wider than the truth's n_terms = 6.
     "smooth": [build_trig(n, ORACLE_T) for n in (1, 6, 9)],
 }
@@ -672,20 +675,20 @@ def bartlett_oracle_risk(d, k, horizon, sigma, seed, idx):
 
 
 def one_replication_draw(d, k, spec, seed, smooth, point, idx):
-    """Replication idx at a point (basis, R), drawn alone from its own seeds:
-    the observation it fits and the truth it is scored against.  On the
-    Bartlett route they are Z = [A + sigma E1 | sigma Lb] and A; elsewhere
-    the projected noise plus the truth's first tau coefficients, zero-padded
-    to the two columns build_identity needs, and U V."""
-    basis, factor = point
-    if basis.kind == "identity" and spec.kind == "iid" and basis.horizon - k >= d:
+    """Replication idx at a point (basis, route, R), drawn alone from its own
+    seeds: the observation it fits and the truth it is scored against.  On
+    the Bartlett route they are Z = [A + sigma E1 | sigma Lb] and A;
+    elsewhere the projected noise plus the truth's first tau coefficients,
+    zero-padded to the two columns build_identity needs, and U V."""
+    basis, route, factor = point
+    if route == "bartlett":
         a, e1, lb = bartlett_draws(d, k, basis.horizon, seed, idx)
         return np.hstack([a + spec.sigma * e1, spec.sigma * lb]), a
     tau = basis.tau
     u, v = rates.truth(d, k, replication_seed(seed, 2 * idx), tau, smooth)
     b = u @ v
     eps_seed = replication_seed(seed, 2 * idx + 1)
-    if factor is not None:
+    if route == "factor":
         x = np.random.default_rng(eps_seed).standard_normal((d, tau)) @ factor
     else:
         x = sample_noise(spec, d, basis.horizon, eps_seed)
@@ -747,13 +750,14 @@ def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
         m, *_ = cli._simulate_instance(scenario, d, horizon, k,
                                        replication_seed(seed, 2 * idx),
                                        tau=basis.tau, smooth=ORACLE_SMOOTH)
-        if scenario == "smooth":
-            # A trig point draws its projected noise z @ R from the
-            # replication's seed; this is time-domain noise that projects
-            # onto exactly that draw.  Its law is checked by
-            # test_trig_replication_risk_has_the_time_domain_law.
+        if point[1] == "factor":
+            # A trig point, or a periodic one with 2 tau <= d, draws its
+            # projected noise z @ R from the replication's seed; this is
+            # time-domain noise that projects onto exactly that draw.  Its
+            # law is checked by test_trig_replication_risk_has_the_time_domain_law
+            # and test_periodic_replication_risk_has_the_time_domain_law.
             z = np.random.default_rng(eps_seed).standard_normal((d, basis.tau))
-            x = m + expand(z @ point[1], basis)
+            x = m + expand(z @ point[2], basis)
         else:
             x = m + sample_noise(spec, d, horizon, eps_seed)
         want = risk(predict(fit(x, basis, k)), m)
@@ -766,7 +770,8 @@ def test_replication_equals_the_time_domain_fit(scenario, noise, seed):
 def time_domain_risk(d, k, spec, seed, idx, basis, smooth=None):
     """The risk of replication `idx` as the time domain has it: the same
     truth, a d x T noise sample from the same seed, a fit and a prediction."""
-    scenario = "unstructured" if smooth is None else "smooth"
+    scenario = ("smooth" if smooth is not None
+                else "periodic" if basis.kind == "periodic" else "unstructured")
     m, *_ = cli._simulate_instance(scenario, d, basis.horizon, k,
                                    replication_seed(seed, 2 * idx),
                                    tau=basis.tau, smooth=smooth)
@@ -802,6 +807,7 @@ BLOCK_ROUTES = {
     "bartlett": (NoiseSpec("iid", 0.5), build_identity(ORACLE_T), None),
     "identity-ar1": (ORACLE_NOISE["ar1"], build_identity(ORACLE_T), None),
     "periodic": (ORACLE_NOISE["ma1"], build_periodic(4, ORACLE_T), None),
+    "periodic-factor": (ORACLE_NOISE["ar1"], build_periodic(3, ORACLE_T), None),
     "trig": (ORACLE_NOISE["ar1"], build_trig(3, ORACLE_T), ORACLE_SMOOTH),
 }
 
@@ -837,49 +843,57 @@ def test_a_risk_does_not_depend_on_its_block(route):
     assert risks(7) == risks(1)
 
 
-@pytest.mark.parametrize("d, spec, basis, smooth, size", [
+@pytest.mark.parametrize("d, route, basis, smooth, size", [
     # 3 * 2^13 doubles over what a replication keeps until the fit.  On the
     # Bartlett route: Z, A, E1 and the normals and chi-squares of Lb,
     # d (k + d) + 2 d k + d (d - 1) / 2 + d.
-    pytest.param(50, NoiseSpec("iid", 0.5), build_identity(250), None, 6,
+    pytest.param(50, "bartlett", build_identity(250), None, 6,
                  id="bartlett-d50"),
     # Elsewhere: both stacks, d max(tau, 2) and d times the truth's width,
-    # and a d x T noise sample where the route samples one.  Such a sample
-    # is alone, even where it outgrows the budget.
-    pytest.param(50, NoiseSpec("ar1", 0.5, rho=0.5), build_identity(250), None,
-                 1, id="identity-ar1"),
-    pytest.param(50, NoiseSpec("iid", 0.5), build_periodic(5, 10**6), None, 1,
+    # and on the sample route a d x T noise sample.  Such a sample is alone,
+    # even where it outgrows the budget.
+    pytest.param(50, "sample", build_identity(250), None, 1,
+                 id="identity-ar1"),
+    # A periodic point with 2 tau <= d draws no sample, however long its T.
+    pytest.param(50, "factor", build_periodic(5, 10**6), None, 49,
                  id="periodic-long"),
-    pytest.param(8, NoiseSpec("iid", 0.5), build_periodic(4, 64), None, 42,
+    pytest.param(8, "factor", build_periodic(4, 64), None, 384,
                  id="periodic-short"),
+    # 2 tau > d: d (8 + 8 + 64) doubles.
+    pytest.param(8, "sample", build_periodic(8, 64), None, 38,
+                 id="periodic-sampled"),
     # The smooth truth's 2 n_terms + 1 coefficients beside tau = 3: 193, then 3.
-    pytest.param(30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
+    pytest.param(30, "factor", build_trig(1, 1024),
                  SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=96), 4,
                  id="trig-wide-truth"),
-    pytest.param(30, NoiseSpec("ar1", 0.5, rho=0.5), build_trig(1, 1024),
+    pytest.param(30, "factor", build_trig(1, 1024),
                  SmoothFactorSpec(k=2, beta=2, ell=30.0, n_terms=1), 136,
                  id="trig-narrow-truth"),
     # The Bartlett count again, at d = 20: 730 doubles, where Z alone is 440.
-    pytest.param(20, NoiseSpec("iid", 0.5), build_identity(44), None, 33,
+    pytest.param(20, "bartlett", build_identity(44), None, 33,
                  id="bartlett-d20"),
 ])
-def test_a_block_holds_what_fits_its_byte_budget(d, spec, basis, smooth, size):
-    assert rates.block_size(d, 2, spec, smooth, basis) == size
+def test_a_block_holds_what_fits_its_byte_budget(d, route, basis, smooth, size):
+    assert rates.block_size(d, 2, smooth, (basis, route, None)) == size
 
 
 @pytest.mark.parametrize("spec, basis, bound", [
     pytest.param(NoiseSpec("ar1", 0.5, rho=0.7), build_identity(20000), 4.15,
                  id="identity-ar1"),
-    pytest.param(NoiseSpec("iid", 0.5), build_periodic(4, 20000), 2.05,
+    # 2 tau > d, so the point samples its noise (at tau = 4 it would take
+    # the factor route and allocate 0.002 times).
+    pytest.param(NoiseSpec("iid", 0.5), build_periodic(40, 20000), 2.05,
                  id="periodic-iid"),
 ])
 def test_a_block_of_one_peaks_within_its_bound(spec, basis, bound):
     """One block of one replication at d = 50, T = 20000 allocates at most
     `bound` times a d x T array at its peak, its noise sample included.  The
     bounds were fixed before the block's draws went into preallocated
-    stacks, where the peaks read 4.12 and 2.00 times."""
+    stacks, where the peaks read 4.12 and 2.00 times (2.0045 at the periodic
+    case's tau = 40)."""
     d = 50
     _, point = rates.build_point(spec, basis, d, 2, 1.0, None, None)
+    assert point[1] == "sample"
     rates.block_risks(d, 2, spec, 1, None, point, [0])
     tracemalloc.start()
     try:
@@ -888,6 +902,40 @@ def test_a_block_of_one_peaks_within_its_bound(spec, basis, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * d * basis.horizon
+
+
+@pytest.mark.parametrize("spec, basis, d, route", [
+    pytest.param(NoiseSpec("iid", 0.5), build_identity(8), 6, "bartlett",
+                 id="identity-iid"),
+    pytest.param(NoiseSpec("iid", 0.5), build_identity(7), 6, "sample",
+                 id="identity-iid-short"),                      # T - k < d
+    pytest.param(ORACLE_NOISE["ma1"], build_identity(48), 6, "sample",
+                 id="identity-ma1"),
+    pytest.param(ORACLE_NOISE["ar1"], build_periodic(3, 48), 6, "factor",
+                 id="periodic-edge"),                           # 2 tau = d
+    pytest.param(ORACLE_NOISE["ar1"], build_periodic(4, 48), 6, "sample",
+                 id="periodic-past-edge"),                      # 2 tau > d
+    pytest.param(ORACLE_NOISE["iid"], build_periodic(48, 48), 96, "factor",
+                 id="periodic-tau-T"),
+    pytest.param(ORACLE_NOISE["ar1"], build_trig(20, 48), 6, "factor",
+                 id="trig"),
+])
+def test_a_point_takes_the_route_its_inputs_pick(monkeypatch, spec, basis, d,
+                                                 route):
+    """build_point decides the route once, and a block draws a d x T noise
+    sample exactly on the sample route."""
+    _, point = rates.build_point(spec, basis, d, 2, 1.0, None, None)
+    assert point[1] == route
+    assert (point[2] is not None) == (route == "factor")
+    samples = []
+
+    def counted(*args):
+        samples.append(args)
+        return sample_noise(*args)
+
+    monkeypatch.setattr(rates.noise, "sample_noise", counted)
+    rates.block_risks(d, 2, spec, 1, None, point, range(3))
+    assert len(samples) == (3 if route == "sample" else 0)
 
 
 LAW_SPECS = {"iid": NoiseSpec("iid", 0.5), "ar1": NoiseSpec("ar1", 0.5, rho=0.7)}
@@ -910,6 +958,30 @@ def test_trig_replication_risk_has_the_time_domain_law(noise, n_freq):
                                    range(reps))
         time_domain = np.array([time_domain_risk(d, k, spec, seed, idx, basis,
                                                  ORACLE_SMOOTH)
+                                for idx in range(reps)])
+        diff = factor - time_domain
+        z = diff.mean() / (diff.std(ddof=1) / np.sqrt(reps))
+        assert abs(z) <= 3.5, (seed, z)
+        assert 0.85 <= factor.mean() / time_domain.mean() <= 1.15, seed
+
+
+@pytest.mark.parametrize("noise", list(ORACLE_NOISE))
+def test_periodic_replication_risk_has_the_time_domain_law(noise):
+    """Over 200 replications, the mean risk of a periodic point with
+    2 tau <= d, whose projected noise is drawn through its factor, matches
+    that of fitting the same truths plus a d x T noise sample.  The band was
+    fixed from seeds 1-40 per case before the route landed: paired z-scores
+    of the difference -2.37..3.20 (iid), -1.50..2.68 (MA(1)) and -3.07..2.37
+    (AR(1)), and ratios of the means 0.929-1.114, 0.948-1.089 and
+    0.856-1.128.  A factor 10% too large gave z 4.15-9.84 at seeds 1-5, and
+    an AR(1) factor that ignores the filter gave z below -8.6."""
+    d, k, reps, spec = 8, 2, 200, ORACLE_NOISE[noise]
+    basis = build_periodic(4, 64)
+    _, point = rates.build_point(spec, basis, d, k, 1.0, None, None)
+    assert point[1] == "factor"
+    for seed in range(1, 6):
+        factor = rates.block_risks(d, k, spec, seed, None, point, range(reps))
+        time_domain = np.array([time_domain_risk(d, k, spec, seed, idx, basis)
                                 for idx in range(reps)])
         diff = factor - time_domain
         z = diff.mean() / (diff.std(ddof=1) / np.sqrt(reps))
