@@ -3,14 +3,15 @@
 All commands read a strict JSON config (UTF-8, each key once per object),
 write CSV matrices (17 significant digits, comma delimiter, no header) plus
 strict JSON manifests/reports, and are byte-for-byte deterministic given
-config, seed and BLAS thread count.  Only rate-check uses --threads, which
-sizes the pool that runs its blocks of replications (strucfact.rates); it
-runs numpy's bundled OpenBLAS at one thread, so its report depends on config
-and seed alone.  Each command checks its config against the typed table of its
-scenario, basis kind and noise kind before computing anything, computes
-every output before it writes a file, and publishes the output directory
-atomically.  The CSV writer formats each value once: a tiled matrix (a
-periodic signal, an identity or periodic fit) repeats its formatted period.
+config, seed and BLAS thread count.  Only rate-check uses --threads: its
+blocks of replications (strucfact.rates) run on the calling thread and
+--threads - 1 pool threads.  It runs numpy's bundled OpenBLAS at one thread,
+so its report depends on config and seed alone.  Each command checks its
+config against the typed table of its scenario, basis kind and noise kind
+before computing anything, computes every output before it writes a file,
+and publishes the output directory atomically.  The CSV writer formats each
+value once: a tiled matrix (a periodic signal, an identity or periodic fit)
+repeats its formatted period.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory,
 4 I/O error, 130 interrupted (Ctrl-C).  The console script and
@@ -20,7 +21,6 @@ teardown once the output is published; `main` returns the code instead.
 from __future__ import annotations
 
 import argparse
-import bisect
 import ctypes
 import functools
 import itertools
@@ -403,46 +403,46 @@ def _mean_risks(replicate, points, replications, threads, block_sizes):
     """Mean and std risk per point i of its replications i * replications + r,
     r < replications, in blocks of block_sizes[i] consecutive ones, each the
     risks of replicate(point i, range of its indices).  min(threads, blocks)
-    tasks run them: one on the calling thread, more on one pool.
+    tasks run them: all but one on a pool, submitted first, and the last on
+    the calling thread.
 
-    The tasks take block numbers from one counter until a failure is recorded:
-    a block's error (the lowest block's is raised, and a block stops at its
-    first failing replication), a pool thread that cannot start (a
-    MemoryError, ranked last) or an interrupt, re-raised."""
+    The tasks take blocks from one shared iterator until a failure is
+    recorded: a block's error (the lowest block's is raised, and a block
+    stops at its first failing replication), a pool thread that cannot start
+    (a MemoryError, ranked last; the calling thread then takes no block) or
+    an interrupt, which ranks first and is raised once the pool has joined."""
     risks, failed = np.empty((len(points), replications)), {}
-    # Point i has blocks firsts[i] to firsts[i + 1] - 1.
-    firsts = list(itertools.accumulate(
-        (-(-replications // size) for size in block_sizes), initial=0))
-    blocks = itertools.count()  # no lock: its C __next__ is atomic under the GIL
+    starts = [range(0, replications, size) for size in block_sizes]
+    # The (point, start) of every block in order, drawn by every task.  No
+    # lock and no object per block: these iterators' __next__ runs in C,
+    # atomic under the GIL.
+    blocks = itertools.chain(*(zip(itertools.repeat(i), r)
+                               for i, r in enumerate(starts)))
 
     def task():
-        for block in blocks:
-            if failed or block >= firsts[-1]:
+        for i, start in blocks:
+            if failed:
                 return
-            i = bisect.bisect_right(firsts, block) - 1
-            start = (block - firsts[i]) * block_sizes[i]
             row = risks[i, start:start + block_sizes[i]]
             first = i * replications + start
             try:
                 row[:] = replicate(points[i], range(first, first + row.size))
-            except BaseException as exc:
-                failed[first] = exc
+            except BaseException as exc:  # Ctrl-C lands on the calling thread
+                failed[-1 if isinstance(exc, KeyboardInterrupt) else first] = exc
 
-    tasks = min(threads, firsts[-1])
-    if tasks == 1:
-        task()
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            try:
-                for _ in range(tasks):
-                    pool.submit(task)
-                pool.shutdown()  # the join that Ctrl-C interrupts
-            except RuntimeError as exc:  # Thread.start: "can't start new thread"
-                failed[risks.size] = MemoryError(
-                    f"rate-check could not start a pool thread: {exc}")
-            except BaseException as exc:  # Ctrl-C: each task ends its block
-                failed[-1] = exc
-                raise
+    tasks = min(threads, sum(map(len, starts)))
+    with ThreadPoolExecutor(max_workers=max(tasks - 1, 1)) as pool:
+        try:
+            for _ in range(tasks - 1):
+                pool.submit(task)
+            task()
+            pool.shutdown()  # the join that Ctrl-C interrupts
+        except RuntimeError as exc:  # Thread.start: "can't start new thread"
+            failed[risks.size] = MemoryError(
+                f"rate-check could not start a pool thread: {exc}")
+        except BaseException as exc:  # Ctrl-C: each task ends its block
+            failed[-1] = exc
+            raise
     if failed:
         raise failed[min(failed)]
     return risks.mean(axis=1), risks.std(axis=1)

@@ -54,7 +54,7 @@ tau, or 2 n_terms + 1 for a smooth truth).  One tail fits x by one
 estimator.fit and scores the block by one sum of squares of the estimate,
 zero-padded to max(w, wt) columns, less the truth.  The fit's Gram
 products, eigensolves and Ritz SVDs run once over the stack, and numpy
-releases the GIL in each, so another pool thread draws meanwhile.  Each
+releases the GIL in each, so another thread draws meanwhile.  Each
 matrix of a stack is fitted and summed bit for bit as it would be alone, so
 no risk depends on its block, nor a report on --threads.  block_size sizes
 a block by what each replication keeps until the fit, within BLOCK_DOUBLES:

@@ -15,8 +15,11 @@ expansion is the adjoint map back to d x T.
 L is applied as an operator and never stored.  Periodic projection sums
 the T / tau blocks of tau columns of X and expansion tiles the coefficients
 (so it repeats every `basis.period` columns); identity is the periodic case
-tau = T, whose projection is a copy of X.  Trig multiplies by one cached
-read-only table of its rows.  `basis.rows` materialises L on demand.
+tau = T, whose projection is a copy of X.  Trig project and expand multiply
+by a cached read-only table of its rows, which fit and select reuse across
+calls.  `basis.rows` materialises L on demand as a new array and caches
+nothing, so a caller that needs L once (rate-check's noise factor) holds it
+only while it uses it.
 """
 from __future__ import annotations
 
@@ -70,9 +73,11 @@ class StructureBasis:
 
     @property
     def rows(self) -> np.ndarray:
-        """The dense tau x horizon matrix L, a new writable array on each access."""
+        """The dense tau x horizon matrix L, a new writable array on each
+        access; a trig basis builds it anew and never reads or fills the
+        cache of project and expand."""
         if self.kind == "trig":
-            return _trig_rows(self.tau // 2, self.horizon).copy()
+            return _trig_table(self.tau // 2, self.horizon)
         return expand(np.eye(self.tau), self)
 
     def descriptor(self) -> dict:
@@ -98,14 +103,20 @@ def build_trig(n_freq: int, horizon: int) -> StructureBasis:
     return StructureBasis("trig", 2 * n_freq + 1, horizon)
 
 
-@functools.lru_cache(maxsize=8)
-def _trig_rows(n_freq: int, horizon: int) -> np.ndarray:
-    """Read-only trig rows [1; sqrt(2) cos; sqrt(2) sin], interleaved per n."""
+def _trig_table(n_freq: int, horizon: int) -> np.ndarray:
+    """Trig rows [1; sqrt(2) cos; sqrt(2) sin], interleaved per n."""
     t = np.arange(1, horizon + 1)
     phase = 2.0 * np.pi * np.arange(1, n_freq + 1)[:, None] * t / horizon
     rows = np.ones((2 * n_freq + 1, horizon))
     rows[1::2] = np.sqrt(2.0) * np.cos(phase)
     rows[2::2] = np.sqrt(2.0) * np.sin(phase)
+    return rows
+
+
+@functools.lru_cache(maxsize=8)
+def _trig_rows(n_freq: int, horizon: int) -> np.ndarray:
+    """The read-only table of _trig_table that project and expand share."""
+    rows = _trig_table(n_freq, horizon)
     rows.flags.writeable = False
     return rows
 

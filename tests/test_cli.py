@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from strucfact import (NoiseSpec, SmoothFactorSpec, build_identity,
                        build_periodic, build_trig, expand, fit, linalg,
                        predict, project, replication_seed, risk, sample_noise)
-from strucfact import cli, estimator, rates
+from strucfact import cli, estimator, rates, structure
 from strucfact.cli import main, read_matrix, write_matrix
 
 
@@ -541,6 +541,19 @@ class TestRateCheck:
                            threads=threads)
         assert code1 == code_n == 0
         assert dir_hash(out1) == dir_hash(out2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_smooth_rate_check_leaves_the_trig_cache_as_it_found_it(
+            self, tmp_path, threads):
+        # Each point's factor comes from rows built for it alone, so no trig
+        # table stays pinned after its QR.
+        cfg = {**SMOOTH_RATE_CFG,
+               "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16},
+               "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5}}
+        before = structure._trig_rows.cache_info()
+        code, _ = run(tmp_path, "rate-check", cfg, "rate", threads=threads)
+        assert code == 0
+        assert structure._trig_rows.cache_info() == before
 
     def test_too_few_sweep_points_rejected(self, tmp_path):
         cfg = dict(self.small_cfg(), sweep_T=[24, 48])
@@ -1688,7 +1701,8 @@ def test_mean_risks_raises_the_earliest_submitted_error(threads):
 
 @pytest.mark.parametrize("threads", [1, 2, 4, 8])
 def test_mean_risks_runs_one_task_per_thread(monkeypatch, threads):
-    submits, seen = [], []
+    submits, seen, idents = [], [], set()
+    caller, ran = threading.get_ident(), threading.Event()
 
     class Counting(cli.ThreadPoolExecutor):
         def submit(self, *args, **kwargs):
@@ -1696,6 +1710,13 @@ def test_mean_risks_runs_one_task_per_thread(monkeypatch, threads):
             return super().submit(*args, **kwargs)
 
     def replicate(point, indices):
+        # Pool threads wait until the calling thread has taken a block, so
+        # they cannot take all 76 while it submits.
+        if threading.get_ident() == caller:
+            ran.set()
+        else:
+            ran.wait(timeout=10)
+        idents.add(threading.get_ident())
         seen.extend(indices)
         return point + np.array(indices)
 
@@ -1712,12 +1733,42 @@ def test_mean_risks_runs_one_task_per_thread(monkeypatch, threads):
     finally:
         sys.setswitchinterval(interval)
     # One task per thread, not one per block (76), and one thread's task
-    # runs on the calling thread.
-    assert len(submits) == (0 if threads == 1 else threads)
+    # runs on the calling thread, so the pool gets one task fewer.
+    assert len(submits) == min(threads, 76) - 1
+    assert caller in idents
     assert sorted(seen) == list(range(200))
     risks = np.arange(200.0).reshape(4, 50) + np.array(points)[:, None]
     assert means.tolist() == risks.mean(axis=1).tolist()
     assert stds.tolist() == risks.std(axis=1).tolist()
+
+
+def test_mean_risks_raises_an_interrupt_of_the_calling_thread_first(monkeypatch):
+    # The pool's task takes block 0 and fails once the calling thread is
+    # inside block 1, where Ctrl-C lands: the interrupt outranks the lower
+    # block's error.
+    caller = threading.get_ident()
+    pool_took, caller_took, pool_fails = (threading.Event() for _ in range(3))
+
+    class Ordered(cli.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            pool_took.wait(timeout=10)
+            return future
+
+    def replicate(point, indices):
+        if threading.get_ident() != caller:
+            pool_took.set()
+            caller_took.wait(timeout=10)
+            pool_fails.set()
+            raise ArithmeticError(f"replication {indices[0]}")
+        caller_took.set()
+        pool_fails.wait(timeout=10)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Ordered)
+    with pytest.raises(KeyboardInterrupt):
+        cli._mean_risks(replicate, [None] * 2, 10, 2, [5, 5])
+    assert pool_fails.is_set()
 
 
 # A fresh process: ru_maxrss is the peak of the whole process so far.
@@ -1765,7 +1816,8 @@ sys.exit(cli.main(sys.argv[1:]))
 def test_ctrl_c_stops_a_rate_check_with_one_line(tmp_path, threads):
     cfg_path, out = tmp_path / "rate.json", tmp_path / "out"
     # 8000 replications of at least 2 ms: 8 s or more on 2 threads, in
-    # blocks of 227 that each end within about 0.5 s of the interrupt.
+    # Bartlett blocks of 198 (d = 8, k = 1) that each end within about 0.4 s
+    # of the interrupt.
     cfg_path.write_text(json.dumps(dict(TestRateCheck().small_cfg(),
                                         replications=2000)))
     child = subprocess.Popen(
@@ -1774,15 +1826,22 @@ def test_ctrl_c_stops_a_rate_check_with_one_line(tmp_path, threads):
         env=_package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     try:
-        assert child.stdout.readline() == "started\n"
-        child.send_signal(signal.SIGINT)
+        line = child.stdout.readline()
+        if line == "started\n":
+            child.send_signal(signal.SIGINT)
         _, err = child.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        _, err = child.communicate()
+        pytest.fail(f"no exit within 5 s of first line {line!r}; stderr {err!r}")
     finally:
         if child.poll() is None:
             child.kill()
             child.communicate()
-    assert child.returncode == 130
-    assert err.splitlines() == ["interrupted"], err
+    state = f"exit {child.returncode}, stderr {err!r}"
+    assert line == "started\n", state
+    assert child.returncode == 130, state
+    assert err.splitlines() == ["interrupted"], state
     assert not out.exists()
 
 

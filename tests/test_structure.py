@@ -209,6 +209,12 @@ class TestOperatorsMatchDense:
             assert not np.shares_memory(
                 rows, structure._trig_rows(basis.tau // 2, basis.horizon))
 
+    def test_trig_rows_neither_read_nor_fill_the_table_cache(self):
+        before = structure._trig_rows.cache_info()
+        rows = build_trig(5, 64).rows
+        assert rows.shape == (11, 64)
+        assert structure._trig_rows.cache_info() == before
+
     def test_identity_and_periodic_allocate_no_dense_matrix(self):
         # A dense eye(4096) alone would take 134 MB.
         x = np.random.default_rng(23).standard_normal((2, 4096))
