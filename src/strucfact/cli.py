@@ -2,11 +2,10 @@
 
 All commands read a strict JSON config (UTF-8, each key once per object),
 write CSV matrices (17 significant digits, comma delimiter, no header) plus
-strict JSON manifests/reports, and are byte-for-byte deterministic given
-config, seed and BLAS thread count.  Only rate-check uses --threads: its
-blocks of replications (strucfact.rates) run on the calling thread and
---threads - 1 pool threads.  It runs numpy's bundled OpenBLAS at one thread,
-so its report depends on config and seed alone.  Each command checks its
+strict JSON manifests/reports.  Every command runs numpy's bundled OpenBLAS
+at one thread, so its bytes depend on config and seed alone.  Only
+rate-check uses --threads: its blocks of replications (strucfact.rates) run
+on the calling thread and --threads - 1 pool threads.  Each command checks its
 config against the typed table of its scenario, basis kind and noise kind
 before computing anything, computes every output before it writes a file,
 and publishes the output directory atomically.  The CSV writer formats each
@@ -364,7 +363,8 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
               for n_freq in p["n_freqs"]]
     params = _spec("penalty", PenaltyParams, lam=pen["lambda"], c_pen=pen["c_pen"],
                    noise_level=pen["noise_level"], s=pen["s"])
-    result = select(x, CandidateGrid(bases=bases, ranks=p["ranks"]), params)
+    grid = _spec("select", CandidateGrid, bases=bases, ranks=p["ranks"])
+    result = select(x, grid, params)
     table = "tau,k,empirical_risk,penalty,score,chosen\n" + "".join(
         f"{row.tau},{row.k},{row.empirical_risk:.17g},"
         f"{row.penalty:.17g},{row.score:.17g},{int(row is result.winner)}\n"
@@ -380,24 +380,6 @@ def cmd_select(cfg: dict, out: Path, seed_override: int | None) -> None:
 
 
 # ---------- rate-check ----------
-
-@functools.cache
-def _bundled_openblas():
-    """(get, set) of the thread count of the OpenBLAS shipped in numpy's wheel,
-    or None where there is none (another BLAS, or a system OpenBLAS)."""
-    root = Path(np.__file__).parent
-    for lib in [*root.parent.glob("numpy.libs/*openblas*"),
-                *root.glob(".dylibs/*openblas*")]:
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                               ("openblas_", "")):
-            try:
-                dll = ctypes.CDLL(str(lib))
-                return (getattr(dll, f"{prefix}get_num_threads{suffix}"),
-                        getattr(dll, f"{prefix}set_num_threads{suffix}"))
-            except (OSError, AttributeError):
-                pass
-    return None
-
 
 def _mean_risks(replicate, points, replications, threads, block_sizes):
     """Mean and std risk per point i of its replications i * replications + r,
@@ -477,37 +459,26 @@ def cmd_rate_check(cfg: dict, out: Path, seed_override: int | None,
                             horizon=horizon)
                  for horizon in sweep]
     replicate = functools.partial(_one_replication, d, k, spec, seed, smooth)
-    # At one OpenBLAS thread the pool is the only parallelism, and no product
-    # rounds in another way at another --threads (OpenBLAS may).
-    get, set_ = _bundled_openblas() or (lambda: 1, None)
-    old = get()
-    if old != 1:
-        set_(1)
-    try:
-        # Inside the guard: a trig point's noise factor comes from a QR.
-        rows, points = zip(*[rates.build_point(spec, b, d, k, p["s"], smooth,
-                                               p.get("c_beta_l")) for b in bases])
-        means, stds = _mean_risks(replicate, points, reps, threads,
-                                  [rates.block_size(d, k, smooth, point)
-                                   for point in points])
-        for row, mu, sd in zip(rows, means, stds):
-            row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
+    rows, points = zip(*[rates.build_point(spec, b, d, k, p["s"], smooth,
+                                           p.get("c_beta_l")) for b in bases])
+    means, stds = _mean_risks(replicate, points, reps, threads,
+                              [rates.block_size(d, k, smooth, point)
+                               for point in points])
+    for row, mu, sd in zip(rows, means, stds):
+        row.update(mean_risk=float(mu), std_risk=float(sd), replications=reps)
 
-        report = {"scenario": scenario, "points": rows}
-        if smooth is not None:
-            star_risk = float(means[grid.index(n_star)])
-            report.update(optimal_cutoff=n_star, risk_at_cutoff=star_risk,
-                          best_grid_risk=float(means.min()),
-                          passed=bool(star_risk <= 2.0 * means.min()))
-        else:
-            slope, intercept, se = rates.loglog_slope(
-                [row["theoretical_rate"] for row in rows], means)
-            report.update(slope=slope, intercept=intercept, slope_stderr=se,
-                          slope_tol=p["slope_tol"],
-                          passed=bool(abs(slope - 1.0) <= p["slope_tol"]))
-    finally:
-        if old != 1:
-            set_(old)
+    report = {"scenario": scenario, "points": rows}
+    if smooth is not None:
+        star_risk = float(means[grid.index(n_star)])
+        report.update(optimal_cutoff=n_star, risk_at_cutoff=star_risk,
+                      best_grid_risk=float(means.min()),
+                      passed=bool(star_risk <= 2.0 * means.min()))
+    else:
+        slope, intercept, se = rates.loglog_slope(
+            [row["theoretical_rate"] for row in rows], means)
+        report.update(slope=slope, intercept=intercept, slope_stderr=se,
+                      slope_tol=p["slope_tol"],
+                      passed=bool(abs(slope - 1.0) <= p["slope_tol"]))
     _publish(out, {"rate_report.json": _json_text(report)})
 
 
@@ -519,6 +490,24 @@ COMMANDS = {
     "select": cmd_select,
     "rate-check": cmd_rate_check,
 }
+
+
+@functools.cache
+def _bundled_openblas():
+    """(get, set) of the thread count of the OpenBLAS shipped in numpy's wheel,
+    or None where there is none (another BLAS, or a system OpenBLAS)."""
+    root = Path(np.__file__).parent
+    for lib in [*root.parent.glob("numpy.libs/*openblas*"),
+                *root.glob(".dylibs/*openblas*")]:
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            try:
+                dll = ctypes.CDLL(str(lib))
+                return (getattr(dll, f"{prefix}get_num_threads{suffix}"),
+                        getattr(dll, f"{prefix}set_num_threads{suffix}"))
+            except (OSError, AttributeError):
+                pass
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,11 +545,21 @@ def main(argv=None) -> int:
         if isinstance(cfg, dict) and cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {_shown(cfg['schema'])}")
         out = Path(args.out)
-        with np.errstate(**rates.FP_ERRORS):
-            if args.command == "rate-check":
-                cmd_rate_check(cfg, out, args.seed, threads=args.threads)
-            else:
-                COMMANDS[args.command](cfg, out, args.seed)
+        # One OpenBLAS thread: no product rounds another way at another thread
+        # count (OpenBLAS may), and rate-check's pool is its only parallelism.
+        get, set_ = _bundled_openblas() or (lambda: 1, None)
+        old = get()
+        if old != 1:
+            set_(1)
+        try:
+            with np.errstate(**rates.FP_ERRORS):
+                if args.command == "rate-check":
+                    cmd_rate_check(cfg, out, args.seed, threads=args.threads)
+                else:
+                    COMMANDS[args.command](cfg, out, args.seed)
+        finally:  # the old count comes back on every exit path
+            if old != 1:
+                set_(old)
     except ValueError as exc:  # ConfigError and the library's argument checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2

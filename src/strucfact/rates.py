@@ -25,7 +25,7 @@ z @ R was never slower than sample and project (0.43-0.58 ms against
 one OpenBLAS thread), so T is not in the rule.  But building R holds about
 four tau x T arrays, and a sampled replication about two d x T arrays: at
 d = 50, AR(1), T = 96000 and tau = 25 the build peaked at 102 MB of RSS in
-0.30 s, and one sampled replication at 114 MB in 0.43 s.
+0.26 s, and one sampled replication at 114 MB in 0.40 s.
 
 An identity basis with iid noise and T - k >= d never draws the d x T noise
 either.  Write the truth as A Q^T, for the QR factorization V^T = Q R and

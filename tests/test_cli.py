@@ -516,12 +516,21 @@ class TestRateCheck:
         pytest.param("smooth-iid-T2000", 2, id="smooth-iid-T2000-2"),
         *[pytest.param("unstructured-d100", t, id=f"unstructured-d100-{t}")
           for t in (2, 4)],
+        pytest.param("bartlett-straddle", 2, id="bartlett-straddle-2"),
+        *[pytest.param(s, t, id=f"{s}-{t}")
+          for s in ("periodic-ar1-d10", "periodic-ar1-d12", "identity-ma1")
+          for t in (2, 3)],
+        *[pytest.param("blocks", t, id=f"blocks-{t}") for t in (2, 3, 16)],
     ])
     def test_threads_do_not_change_result(self, tmp_path, scenario, threads):
         # d = 8 < T: every unstructured fit takes the Gram path of linalg.top_k.
         smooth_ar1 = {**SMOOTH_RATE_CFG,
                       "smooth": {"beta": 2, "ell": 10.0, "n_terms": 16},
                       "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5}}
+        periodic_ar1 = {"scenario": "periodic", "d": 10, "k": 2, "tau": 6,
+                        "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.5},
+                        "sweep_T": [48, 96, 192, 384], "replications": 20,
+                        "seed": 1}
         cfg = {"unstructured": self.small_cfg(),
                "periodic": dict(self.small_cfg(), scenario="periodic", tau=4),
                "smooth-ar1": smooth_ar1,
@@ -535,7 +544,23 @@ class TestRateCheck:
                    "smooth": {"beta": 2, "ell": 30.0, "n_terms": 96},
                    "noise": {"kind": "iid", "sigma": 0.8},
                    "replications": 4, "seed": 1},
-               "unstructured-d100": D100_RATE_CFG}[scenario]
+               "unstructured-d100": D100_RATE_CFG,
+               # T - k < d at T = 12 and 21 (time domain), >= d at 22 and 44
+               # (the Bartlett route).
+               "bartlett-straddle": dict(D100_RATE_CFG, d=20, replications=5,
+                                         sweep_T=[12, 21, 22, 44]),
+               # 2 tau > d: a d x T noise sample per replication.
+               "periodic-ar1-d10": periodic_ar1,
+               # 2 tau <= d: the projected-noise factor.
+               "periodic-ar1-d12": dict(periodic_ar1, d=12),
+               "identity-ma1": dict(D100_RATE_CFG, d=8, replications=20,
+                                    noise={"kind": "ma1", "sigma": 0.5,
+                                           "theta": 0.6},
+                                    sweep_T=[24, 48, 96, 192]),
+               # Per point a Bartlett block of 6 and one of 1: 8 blocks, fewer
+               # than 16 threads.
+               "blocks": dict(D100_RATE_CFG, d=50, replications=7,
+                              sweep_T=[60, 120, 240, 480])}[scenario]
         code1, out1 = run(tmp_path, "rate-check", cfg, "rate1", threads=1)
         code_n, out2 = run(tmp_path, "rate-check", cfg, "rate_n",
                            threads=threads)
@@ -1489,6 +1514,20 @@ def test_overflowing_projection_exits_3_with_one_line(tmp_path, command, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ranks", [[3, 1], [1, 2, 2]])
+def test_unsorted_or_repeated_ranks_exit_2_with_one_line_naming_select(
+        tmp_path, ranks):
+    write_matrix(tmp_path / "X.csv",
+                 np.random.default_rng(0).standard_normal((6, 24)))
+    code, lines, out = run_child(tmp_path, "select", {
+        "x": str(tmp_path / "X.csv"), "taus": [4], "ranks": ranks,
+        "penalty": {"noise_level": 0.25}})
+    assert code == 2
+    assert lines == ["config error: select: ranks must be sorted ascending "
+                     "and distinct"], lines
+    assert not out.exists()
+
+
 def test_a_deeply_nested_config_exits_2_with_one_line(tmp_path):
     # Raw text: json.dumps would itself recurse.
     depth = 100_000
@@ -1863,10 +1902,13 @@ def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch,
 
 
 class TestBlasThreadShare:
-    """While a rate-check runs, numpy's bundled OpenBLAS runs at one thread,
-    shared by every pool thread; its count comes back after."""
+    """While every command runs, numpy's bundled OpenBLAS runs at one thread,
+    shared by every pool thread of a rate-check; its count comes back after."""
 
     START = 4  # a count above 1, whatever the core count
+    # Per command, a numeric call that it makes: (module, name).
+    SPIED = {"simulate": (cli, "sample_noise"), "fit": (estimator, "fit"),
+             "select": (cli, "select"), "rate-check": (cli, "_one_replication")}
 
     @pytest.fixture
     def blas(self):
@@ -1896,6 +1938,57 @@ class TestBlasThreadShare:
         assert len(seen) == 12 and set(seen) == {1}
         assert blas() == self.START
 
+    @staticmethod
+    def configs(tmp_path, command) -> dict:
+        """{exit code: config} for `command`: a valid config, the same with
+        an unknown key, and one that overflows."""
+        write_matrix(tmp_path / "X.csv",
+                     np.random.default_rng(0).standard_normal((6, 24)))
+        write_matrix(tmp_path / "huge.csv", np.full((3, 8), 1.5e308))
+        fit = {"basis": {"kind": "identity"}, "k": 1}
+        select = {"taus": [2, 4], "ranks": [1], "penalty": {}}
+        valid, overflow = {
+            "simulate": (SIM_CFG, dict(SIM_CFG, noise={"kind": "iid",
+                                                       "sigma": 1e200})),
+            "fit": (dict(fit, x=str(tmp_path / "X.csv")),
+                    dict(fit, x=str(tmp_path / "huge.csv"))),
+            "select": (dict(select, x=str(tmp_path / "X.csv")),
+                       dict(select, x=str(tmp_path / "huge.csv"))),
+            "rate-check": (TestRateCheck().small_cfg(), OVERFLOW_RATE_CFG),
+        }[command]
+        return {0: valid, 2: dict(valid, typo=1), 3: overflow}
+
+    @pytest.mark.parametrize("command", list(SPIED))
+    def test_every_command_runs_at_one_blas_thread_and_the_count_comes_back(
+            self, tmp_path, monkeypatch, blas, command):
+        module, name = self.SPIED[command]
+        call, seen = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            seen.append(blas())
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        for code, cfg in self.configs(tmp_path, command).items():
+            assert run(tmp_path, command, cfg, f"out{code}")[0] == code
+            assert blas() == self.START
+        assert seen and set(seen) == {1}
+
+    def test_a_fit_gives_the_same_bytes_at_any_count(self, tmp_path, blas):
+        # OpenBLAS rounds the Gram matrix of this identity fit differently at
+        # counts 1 and 2.
+        write_matrix(tmp_path / "X.csv",
+                     np.random.default_rng(0).standard_normal((100, 960)))
+        cfg = {"x": str(tmp_path / "X.csv"), "basis": {"kind": "identity"},
+               "k": 2}
+        hashes = []
+        for count in (self.START, 2, 1):
+            cli._bundled_openblas()[1](count)
+            code, out = run(tmp_path, "fit", cfg, f"count{count}")
+            assert code == 0
+            hashes.append(dir_hash(out))
+        assert hashes[0] == hashes[1] == hashes[2]
+
     def test_count_comes_back_after_a_pool_thread_fails(self, tmp_path, blas):
         code, _ = run(tmp_path, "rate-check", OVERFLOW_RATE_CFG, "rate",
                       threads=2)
@@ -1911,9 +2004,9 @@ class TestBlasThreadShare:
                 raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Broken)
-        with pytest.raises(MemoryError):
-            cli.cmd_rate_check(TestRateCheck().small_cfg(), tmp_path / "rate",
-                               None, threads=2)
+        code, _ = run(tmp_path, "rate-check", TestRateCheck().small_cfg(),
+                      "rate", threads=2)
+        assert code == 3
         assert blas() == self.START
 
     def test_a_count_of_one_gives_the_same_bytes(self, tmp_path):

@@ -201,7 +201,8 @@ class TestOperatorsMatchDense:
         rows = basis.rows
         assert_close(rows, dense_reference(basis))
         # The same bytes as expanding the identity, in a new writable array:
-        # a trig basis copies its cached read-only table.
+        # for a trig basis, rows is a fresh array that shares no memory with
+        # the cached table.
         np.testing.assert_array_equal(rows, expand(np.eye(basis.tau), basis))
         assert rows.flags.writeable
         assert not np.shares_memory(rows, basis.rows)
