@@ -10,7 +10,10 @@ config against the typed table of its scenario, basis kind and noise kind
 before computing anything, computes every output before it writes a file,
 and publishes the output directory atomically.  The CSV writer formats each
 value once: a tiled matrix (a periodic signal, an identity or periodic fit)
-repeats its formatted period.
+repeats its formatted period.  It formats with numpy, a chunk of values at a
+time, and writes the bytes of CSV_FMT (so np.savetxt's): Dekker's exact
+product gives the 17 digits of each value in fixed notation, and CSV_FMT
+itself formats the rest (exponent notation, zeros, non-finite values, ties).
 
 Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory,
 4 I/O error, 130 interrupted (Ctrl-C).  The console script and
@@ -204,17 +207,189 @@ def _smooth_spec(p: dict, horizon: int, where: str) -> sobolev.SmoothFactorSpec:
 
 # ---------- file I/O ----------
 
-def write_matrix(path: Path, m: np.ndarray, repeats: int = 1) -> None:
-    """Write `m` tiled `repeats` times as CSV, one row per write().
+# write_matrix formats a chunk of _CHUNK values at a time.  Each value gets a
+# row of _ROW bytes, NUL wherever no character goes, and the NULs are dropped.
+# The row is five uint64 words: bytes 0-7 hold "-", "0." and up to three
+# zeros (for |x| < 1), the leading digit and the point after it; each further
+# word holds four (digit, point after it) pairs of the other 16 significant
+# digits, and the last point byte holds the delimiter.  A value off the fast
+# path puts CSV_FMT itself in its row, and one % formats the chunk's text.
+_CHUNK = 2048
+_ROW = 40
+# The numpy pass costs about what CSV_FMT takes for 200 values, so a smaller
+# matrix, or a chunk with fewer values in fixed notation, is left to CSV_FMT.
+_FAST_MIN = 200
+_MAGNITUDE = np.int64(2 ** 63 - 1)  # the bits of |x|, as an int64
+_FIXED_LOW = np.float64(1e-4).view(np.int64)  # 1e-4 <= |x| < 1e17: fixed
+_FIXED_SPAN = np.uint64(np.float64(1e17).view(np.int64) - _FIXED_LOW)
+_SIG_LOW = np.int64(10 ** 16 + 1)  # the fast path needs 10^16 < D < 10^17
+_SIG_SPAN = np.uint64(10 ** 17 - _SIG_LOW)
+_EXACT_ROW = np.zeros(_ROW, np.uint8)  # a row that CSV_FMT itself fills
+_EXACT_ROW[:len(CSV_FMT)] = list(CSV_FMT.encode())
 
-    Each value is formatted once with CSV_FMT and each formatted row is
-    repeated.  The bytes are np.savetxt's of np.tile(np.atleast_2d(m), repeats).
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split v = high + low into halves of at most 26 bits, so
+    that the product of two halves is exact in a double."""
+    c = v * (2.0 ** 27 + 1)
+    high = c - (c - v)
+    return high, v - high
+
+
+# 10^(16 - E) at E + 5 for -5 <= E <= 16, exact, and its Veltkamp halves.
+# log10 gives E = 17 just below 1e17, where 0.1 puts D below 10^16.
+_TENS = np.array([float(10 ** j) for j in range(21, -1, -1)] + [0.1])
+_TENS_HI, _TENS_LO = _halves(_TENS)
+
+
+def _split(v: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v // unit, v % unit) for v >= 0; np.divmod takes three times as long."""
+    q = v // unit
+    return q, v - q * unit
+
+
+@functools.cache
+def _format_tables():
+    """Tables of the fast path, built on its first use.
+
+    words[g]: the digits of a group 0 <= g < 10^4 in the even bytes of a
+    uint64; last[i, g]: the index among the 17 digits of the last nonzero
+    digit of g as the group of digits 4i+1..4i+4 (0, the leading digit, when
+    g = 0); keep[12 + j]: the mask of a word's first min(max(j, 0), 4) pairs;
+    lead[(negative * 23 + E + 5) * 10 + d0]: bytes 0-7 for the sign, decimal
+    exponent E and leading digit d0.
     """
-    m = np.atleast_2d(m)
-    row_fmt = ",".join([CSV_FMT] * m.shape[1])
+    groups = np.arange(10 ** 4, dtype=np.int16)
+    digits = groups[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+    pairs = np.zeros((10 ** 4, 8), np.uint8)
+    pairs[:, ::2] = digits + ord("0")
+    nonzero = digits != 0
+    last = (4 - nonzero[:, ::-1].argmax(axis=1)).astype(np.int8)
+    last = np.where(nonzero.any(axis=1), last, 0)[None, :]
+    keep = [(1 << 16 * min(max(j - 12, 0), 4)) - 1 for j in range(29)]
+    lead = np.zeros((2, 23, 10, 8), np.uint8)
+    lead[1, ..., 0] = ord("-")
+    for exp in range(-4, 0):
+        lead[:, exp + 5, :, 1:2 - exp] = list(b"0.000"[:1 - exp])
+    lead[..., 6] = np.arange(10) + ord("0")
+    offsets = np.arange(0, 16, 4, dtype=np.int8)[:, None]
+    return (pairs.view(np.uint64).ravel(), np.where(last > 0, last + offsets, 0),
+            np.array(keep, np.uint64), lead.view(np.uint64).ravel())
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, E, D) for magnitudes 1e-4 <= a < 1e17: where ok, a rounds to
+    D 10^(E - 16) at 17 significant digits, with 10^16 < D < 10^17.
+
+    With E from log10, Dekker's product gives s = a 10^(16 - E) exactly as
+    hi + lo, where hi is the rounded product and lo its error.  When E is
+    right, hi >= 10^16 > 2^53 is an integer, so D = hi + rint(lo), and s is a
+    tie exactly when |lo - rint(lo)| = 1/2.  ok fails on a tie and on a D
+    outside (10^16, 10^17), which an E that log10 got off by one gives.
+    """
+    exp5 = (np.log10(a) + 5).astype(np.int64)  # E + 5, for E >= -5
+    hi = a * _TENS.take(exp5)
+    a_hi, a_lo = _halves(a)
+    p_hi, p_lo = _TENS_HI.take(exp5), _TENS_LO.take(exp5)
+    lo = a_hi * p_hi  # ((a_hi p_hi - hi) + a_hi p_lo + a_lo p_hi) + a_lo p_lo
+    lo -= hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    rounded = np.rint(lo)
+    sig = hi.astype(np.int64) + rounded.astype(np.int64)
+    ok = (sig - _SIG_LOW).view(np.uint64) < _SIG_SPAN
+    ok &= np.abs(lo - rounded) != 0.5
+    return ok, exp5 - 5, sig
+
+
+def _lay_out_digits(x: np.ndarray, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lay out x, with a = |x| in fixed notation, in rows; return _decimal's
+    ok, which marks the rows laid out."""
+    words, last_digit, keep_mask, lead = _format_tables()
+    ok, exp, sig = _decimal(a)
+    high, low = _split(sig, 10 ** 8)
+    lead_digit, high = _split(high, 10 ** 8)
+    groups = (*_split(high, 10 ** 4), *_split(low, 10 ** 4))
+    last = np.maximum(
+        np.maximum(last_digit[0].take(groups[0]), last_digit[1].take(groups[1])),
+        np.maximum(last_digit[2].take(groups[2]), last_digit[3].take(groups[3])))
+    kept = np.maximum(last, exp) + 12  # the digits up to the point stay
+    words64 = rows.view(np.uint64)
+    for i, g in enumerate(groups):
+        np.bitwise_and(words.take(g), keep_mask.take(kept - 4 * i, mode="clip"),
+                       out=words64[:, i + 1])
+    negative = (x.view(np.uint64) >> np.uint64(63)).view(np.int64)
+    np.take(lead, (negative * 23 + exp + 5) * 10 + lead_digit, mode="clip",
+            out=words64[:, 0])
+    point = np.flatnonzero(ok & (last > exp) & (exp >= 0))
+    rows[point, 7 + 2 * exp[point]] = ord(".")
+    return ok
+
+
+def _format_values(x: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(rows, values): CSV_FMT % x[i] laid out in rows[i, :-1], a view of
+    `buf` (uint8), NUL-padded; the last byte of each row is the caller's.
+
+    A value in fixed notation (1e-4 <= |x| < 1e17) gets its digits from
+    _decimal where that proves them, in a row of _ROW bytes.  Any other row
+    (exponent notation, zeros, non-finite values, ties) holds CSV_FMT itself,
+    and `values` lists their x, in order, for one `%` over the text.  A chunk
+    with fewer than _FAST_MIN values in fixed notation leaves every value to
+    CSV_FMT, in rows just wide enough for it.
+    """
+    bits = x.view(np.int64) & _MAGNITUDE  # integer compares raise no FP error
+    fixed = np.flatnonzero((bits - _FIXED_LOW).view(np.uint64) < _FIXED_SPAN)
+    if fixed.size < _FAST_MIN:
+        rows = buf[:x.size * (len(CSV_FMT) + 1)].reshape(x.size, -1)
+        rows[:, :-1] = _EXACT_ROW[:len(CSV_FMT)]
+        return rows, tuple(x.tolist())
+    rows = buf[:x.size * _ROW].reshape(x.size, _ROW)
+    if fixed.size == x.size:
+        ok = _lay_out_digits(x, bits.view(np.float64), rows)
+    else:  # the digits of the fixed-notation values alone
+        digits = np.empty((fixed.size, _ROW), np.uint8)
+        ok = np.zeros(x.size, bool)
+        ok[fixed] = _lay_out_digits(x[fixed], bits[fixed].view(np.float64), digits)
+        rows[fixed] = digits
+    exact = np.flatnonzero(~ok)
+    rows[exact] = _EXACT_ROW
+    return rows, tuple(x[exact].tolist())
+
+
+def write_matrix(path: Path, m: np.ndarray, repeats: int = 1) -> None:
+    """Write `m` tiled `repeats` times as CSV.
+
+    Each value is formatted once, by _format_values, in chunks of about
+    _CHUNK values; a tiled matrix is formatted whole rows at a time and each
+    row's text is written `repeats` times.  A matrix of fewer than _FAST_MIN
+    values is formatted with CSV_FMT a row at a time.  The bytes are
+    np.savetxt's of np.tile(np.atleast_2d(m), repeats) with fmt=CSV_FMT and
+    delimiter=",".
+    """
+    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    cols = m.shape[1]
     with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join([row_fmt % tuple(row)] * repeats) + "\n")
+        if m.size < _FAST_MIN:  # CSV_FMT on each row costs less than numpy
+            row_fmt = ",".join([CSV_FMT] * cols)
+            for row in m.tolist():
+                fh.write(",".join([row_fmt % tuple(row)] * repeats) + "\n")
+            return
+        step = _CHUNK if repeats == 1 else max(_CHUNK // cols, 1) * cols
+        buf = np.empty(min(step, m.size) * _ROW, np.uint8)
+        for start in range(0, m.size, step):
+            x = m.flat[start:start + step]
+            rows, exact = _format_values(x, buf)
+            rows[:, -1] = ord(",")
+            rows[(-start - 1) % cols::cols, -1] = ord("\n")
+            text = rows.tobytes().translate(None, b"\0").decode("ascii")
+            if exact:
+                text %= exact
+            if repeats == 1:
+                fh.write(text)
+                continue
+            for line in text.split("\n")[:-1]:
+                fh.write(",".join([line] * repeats) + "\n")
 
 
 def _tiles(m: np.ndarray, period: int) -> tuple[np.ndarray, int]:
@@ -392,7 +567,8 @@ def _mean_risks(replicate, points, replications, threads, block_sizes):
     recorded: a block's error (the lowest block's is raised, and a block
     stops at its first failing replication), a pool thread that cannot start
     (a MemoryError, ranked last; the calling thread then takes no block) or
-    an interrupt, which ranks first and is raised once the pool has joined."""
+    an interrupt, which ranks first and is raised once the pool has joined,
+    also when it lands inside a pool thread's start."""
     risks, failed = np.empty((len(points), replications)), {}
     starts = [range(0, replications, size) for size in block_sizes]
     # The (point, start) of every block in order, drawn by every task.  No
@@ -420,6 +596,11 @@ def _mean_risks(replicate, points, replications, threads, block_sizes):
             task()
             pool.shutdown()  # the join that Ctrl-C interrupts
         except RuntimeError as exc:  # Thread.start: "can't start new thread"
+            interrupt = exc.__context__
+            if isinstance(interrupt, KeyboardInterrupt):
+                # Ctrl-C inside Thread.start, whose lock then raised this
+                failed[-1] = interrupt
+                raise interrupt from None
             failed[risks.size] = MemoryError(
                 f"rate-check could not start a pool thread: {exc}")
         except BaseException as exc:  # Ctrl-C: each task ends its block

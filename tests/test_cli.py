@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -1173,6 +1175,50 @@ def savetxt_bytes(path: Path, m) -> bytes:
     return path.read_bytes()
 
 
+def powers_of_ten(exponents) -> np.ndarray:
+    """Rows (10^j, its neighbour below, its neighbour above), for each j."""
+    p = 10.0 ** np.asarray(exponents, dtype=float)
+    return np.stack([p, np.nextafter(p, 0), np.nextafter(p, np.inf)], axis=1)
+
+
+def ulp_ladder(x: float, steps: int = 4) -> np.ndarray:
+    """x and its `steps` neighbours on each side."""
+    ladder = [x]
+    for _ in range(steps):
+        ladder = [np.nextafter(ladder[0], -np.inf), *ladder,
+                  np.nextafter(ladder[-1], np.inf)]
+    return np.array(ladder)
+
+
+def exact_ties(per_exponent: int = 20) -> np.ndarray:
+    """Doubles whose exact decimal expansion has 18 significant digits, the
+    last a 5, so that rounding them to 17 digits is a tie.  The search draws
+    m / 2^p for odd m < 2^53 where m 5^p has 18 digits (from about 10^15
+    down to 10^-8) and keeps what Decimal confirms."""
+    rng = np.random.default_rng(3)
+    found = []
+    for p in range(2, 26):
+        low, high = -(-10 ** 17 // 5 ** p), min(10 ** 18 // 5 ** p, 2 ** 53)
+        for m in rng.integers(low, high, per_exponent):
+            x = (int(m) | 1) / 2 ** p
+            digits = Decimal(x).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                found += [x, -x]
+    assert len(found) > 20 * per_exponent
+    return np.array(found)
+
+
+def random_bits(shape, exponents=(0, 2048)) -> np.ndarray:
+    """Doubles of uniform random sign and mantissa bits, and biased binary
+    exponent uniform in `exponents` (the default spans every double)."""
+    rng = np.random.default_rng(4)
+    size = int(np.prod(shape))
+    bits = rng.integers(0, 2 ** 53, size, dtype=np.uint64)  # sign, mantissa
+    bits = (bits >> np.uint64(52) << np.uint64(63)) | (bits & np.uint64(2 ** 52 - 1))
+    bits |= rng.integers(*exponents, size, dtype=np.uint64) << np.uint64(52)
+    return bits.view(np.float64).reshape(shape)
+
+
 WRITER_CASES = {
     "1x1": np.array([[0.1]]),
     "1xn": np.linspace(-1.0, 1.0, 7)[None, :],
@@ -1184,37 +1230,88 @@ WRITER_CASES = {
                          [np.finfo(float).max, -np.finfo(float).max]]),
     "integer-valued": np.array([[1.0, -2.0, 3e16], [2.0 ** 53, 0.0, 12.0]]),
     "random": np.random.default_rng(0).standard_normal((5, 9)),
+    "non-finite": np.array([[np.nan, np.inf, -np.inf, -np.nan]]),
+    "powers of ten": np.concatenate([powers_of_ten(range(-6, 19)),
+                                     -powers_of_ten(range(-6, 19))]),
+    # CSV_FMT turns to exponent notation below 1e-4 and from 1e17 on.
+    "notation switches": np.stack([sign * ulp_ladder(x) for x in
+                                   (1e-5, 1e-4, 1e16, 1e17) for sign in (1, -1)]),
+    # The double below each power of ten: the spacing of doubles is too
+    # wide for any of them to round up to 10^17 at 17 digits.
+    "below powers of ten": np.nextafter(10.0 ** np.arange(-307, 309), 0)[None, :],
+    "exact ties": exact_ties()[None, :],
+    "random bits": random_bits((1000, 1000)),
+    # Binary exponents -21..61: the fixed notation and just past it.
+    "random fixed-notation bits": random_bits((400, 500), (1002, 1085)),
 }
 
 
+@functools.cache
+def writer_reference(name: str) -> bytes:
+    """savetxt_bytes of WRITER_CASES[name], made once for the tests below."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return savetxt_bytes(Path(tmp) / "ref.csv",
+                             np.atleast_2d(WRITER_CASES[name]))
+
+
 class TestWriteMatrix:
+    """The writer runs under main's floating-point traps, and its bytes
+    equal np.savetxt's with and without its fast path."""
+
     @pytest.mark.parametrize("name", list(WRITER_CASES))
     def test_bytes_equal_savetxt(self, tmp_path, name):
         m = WRITER_CASES[name]
-        write_matrix(tmp_path / "got.csv", m)
-        assert (tmp_path / "got.csv").read_bytes() == savetxt_bytes(
-            tmp_path / "ref.csv", np.atleast_2d(m))
+        with np.errstate(**rates.FP_ERRORS):
+            write_matrix(tmp_path / "got.csv", m)
+        assert (tmp_path / "got.csv").read_bytes() == writer_reference(name)
+
+    @pytest.mark.parametrize("name", list(WRITER_CASES))
+    def test_bytes_equal_savetxt_through_the_fast_path(self, tmp_path,
+                                                       monkeypatch, name):
+        # Every value in fixed notation takes the fast path, however few.
+        monkeypatch.setattr(cli, "_FAST_MIN", 1)
+        m = WRITER_CASES[name]
+        with np.errstate(**rates.FP_ERRORS):
+            write_matrix(tmp_path / "got.csv", m)
+        assert (tmp_path / "got.csv").read_bytes() == writer_reference(name)
+
+    @pytest.mark.parametrize("name", list(WRITER_CASES))
+    def test_bytes_equal_savetxt_without_the_fast_path(self, tmp_path,
+                                                       monkeypatch, name):
+        # An empty fixed-notation range sends every value to CSV_FMT.
+        monkeypatch.setattr(cli, "_FIXED_SPAN", np.uint64(0))
+        m = WRITER_CASES[name]
+        with np.errstate(**rates.FP_ERRORS):
+            write_matrix(tmp_path / "got.csv", m)
+        assert (tmp_path / "got.csv").read_bytes() == writer_reference(name)
 
     @pytest.mark.parametrize("repeats", [2, 5])
     @pytest.mark.parametrize("name", list(WRITER_CASES))
     def test_repeats_equal_savetxt_of_the_tiling(self, tmp_path, name, repeats):
         m = WRITER_CASES[name]
-        write_matrix(tmp_path / "got.csv", m, repeats)
+        with np.errstate(**rates.FP_ERRORS):
+            write_matrix(tmp_path / "got.csv", m, repeats)
         assert (tmp_path / "got.csv").read_bytes() == savetxt_bytes(
             tmp_path / "ref.csv", np.tile(np.atleast_2d(m), repeats))
 
     def test_memory_stays_at_one_row(self, tmp_path):
-        # The writer holds one row of text and objects at a time: its traced
-        # peak measured 0.15 MB at 200 x 2400 (np.savetxt 0.29 MB), where
-        # m.tolist() alone measured 15.4 MB.
-        m = np.random.default_rng(0).standard_normal((200, 2400))
-        tracemalloc.start()
-        try:
-            write_matrix(tmp_path / "m.csv", m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        # The writer holds one chunk of 2048 values at a time: a 40-byte row
+        # and the numpy temporaries of each value, and the chunk's text.  Its
+        # traced peak measured 0.65 MB at 200 x 2400 (with the first build
+        # of its tables), 0.52 MB at 2 x 100000 and 0.35 MB at 200 x 12
+        # tiled 200 times.  np.savetxt measured 0.29 MB at 200 x 2400, and
+        # m.tolist() alone 15.4 MB.
+        rng = np.random.default_rng(0)
+        for shape, repeats in [((200, 2400), 1), ((2, 100000), 1),
+                               ((200, 12), 200)]:
+            m = rng.standard_normal(shape)
+            tracemalloc.start()
+            try:
+                write_matrix(tmp_path / "m.csv", m, repeats)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (shape, repeats, peak)
 
 
 # Fit bases as (config, basis) at the shape of SIM_CFG: d = 6, T = 24.
@@ -1694,6 +1791,23 @@ def test_a_pool_thread_that_cannot_start_exits_3_with_one_line(
     # Of 4 blocks (one per point), only those the one thread took before
     # the cancel ran.
     assert len(starts) == 2 and len(calls) <= 2
+
+
+def test_ctrl_c_while_a_pool_thread_starts_exits_130_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    # A KeyboardInterrupt inside Thread.start's wait leaves its lock to raise
+    # a RuntimeError, with the interrupt as its context.
+    class InterruptedStart(cli.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            try:
+                raise KeyboardInterrupt
+            except KeyboardInterrupt:
+                raise RuntimeError("release unlocked lock")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", InterruptedStart)
+    code, out = run(tmp_path, "rate-check", TestRateCheck().small_cfg(), "rate",
+                    threads=2)
+    assert assert_rejected(capsys, code, out, codes=(130,)) == "interrupted\n"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
