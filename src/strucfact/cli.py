@@ -216,8 +216,8 @@ def _smooth_spec(p: dict, horizon: int, where: str) -> sobolev.SmoothFactorSpec:
 # path puts CSV_FMT itself in its row, and one % formats the chunk's text.
 _CHUNK = 2048
 _ROW = 40
-# The numpy pass costs about what CSV_FMT takes for 200 values, so a smaller
-# matrix, or a chunk with fewer values in fixed notation, is left to CSV_FMT.
+# The numpy pass costs about what CSV_FMT takes for 200 values, so a chunk
+# with fewer values in fixed notation is left to CSV_FMT.
 _FAST_MIN = 200
 _MAGNITUDE = np.int64(2 ** 63 - 1)  # the bits of |x|, as an int64
 _FIXED_LOW = np.float64(1e-4).view(np.int64)  # 1e-4 <= |x| < 1e17: fixed
@@ -362,18 +362,14 @@ def write_matrix(path: Path, m: np.ndarray, repeats: int = 1) -> None:
 
     Each value is formatted once, by _format_values, in chunks of about
     _CHUNK values; a tiled matrix is formatted whole rows at a time and each
-    row's text is written `repeats` times.  A matrix of fewer than _FAST_MIN
-    values is formatted with CSV_FMT a row at a time.  The bytes are
-    np.savetxt's of np.tile(np.atleast_2d(m), repeats) with fmt=CSV_FMT and
-    delimiter=",".
+    row's text is written `repeats` times.  The bytes are np.savetxt's of
+    np.tile(np.atleast_2d(m), repeats) with fmt=CSV_FMT and delimiter=",".
     """
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     cols = m.shape[1]
     with open(path, "w") as fh:
-        if m.size < _FAST_MIN:  # CSV_FMT on each row costs less than numpy
-            row_fmt = ",".join([CSV_FMT] * cols)
-            for row in m.tolist():
-                fh.write(",".join([row_fmt % tuple(row)] * repeats) + "\n")
+        if m.size == 0:  # rows without columns are empty lines
+            fh.write("\n" * m.shape[0])
             return
         step = _CHUNK if repeats == 1 else max(_CHUNK // cols, 1) * cols
         buf = np.empty(min(step, m.size) * _ROW, np.uint8)
