@@ -5,9 +5,8 @@ estimator, dependent-noise samplers with exact covariance operator norms,
 smooth factor generation on Sobolev ellipsoids, and penalized selection of
 (tau, k).
 """
-from .errors import ConvergenceError
 from .estimator import FactorModel, empirical_risk, fit, predict, risk
-from .linalg import SvdResult, svd
+from .linalg import ConvergenceError, SvdResult, svd
 from .noise import (NoiseSpec, covariance_matrix, replication_seed,
                     sample_noise, sigma_op_norm)
 from .select import (CandidateGrid, PenaltyParams, SelectionResult,

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, rates, sobolev, structure
-from .errors import ConvergenceError
+from .linalg import ConvergenceError
 from .noise import NoiseSpec, replication_seed, sample_noise, sigma_op_norm
 from .select import CandidateGrid, PenaltyParams, select
 
@@ -388,11 +388,6 @@ def write_matrix(path: Path, m: np.ndarray, repeats: int = 1) -> None:
                 fh.write(",".join([line] * repeats) + "\n")
 
 
-def _tiles(m: np.ndarray, period: int) -> tuple[np.ndarray, int]:
-    """(first period, count) of a matrix whose columns repeat every `period`."""
-    return m[:, :period], m.shape[1] // period
-
-
 def read_matrix(path: str) -> np.ndarray:
     """The CSV matrix at `path`; a malformed file, one without entries or one
     with a NaN or infinity is a ValueError that names `path`."""
@@ -455,15 +450,17 @@ def _simulate_instance(scenario: str, d: int, horizon: int, k: int, seed: int,
                        tau: int | None = None,
                        smooth: sobolev.SmoothFactorSpec | None = None):
     """Ground-truth signal for one scenario; returns (M, U, V_rows, period),
-    where the columns of M repeat every `period`."""
-    u, v = rates.truth(d, k, seed, tau if scenario == "periodic" else horizon,
-                       smooth if scenario == "smooth" else None)
+    where the columns of M repeat every `period`.  The periodic basis is
+    built before anything is drawn, so a tau that misfits the horizon is a
+    config error that names tau."""
+    if scenario == "periodic":
+        basis = _spec("tau", structure.build_periodic, tau=tau, horizon=horizon)
+        u, v = rates.truth(d, k, seed, tau, None)
+        return structure.expand(u @ v, basis), u, v, basis.period
+    u, v = rates.truth(d, k, seed, horizon, smooth if scenario == "smooth" else None)
     if scenario == "smooth":
         w = structure.expand(v, structure.build_trig(smooth.n_terms, horizon))
         return u @ w, u, w, horizon
-    if scenario == "periodic":
-        basis = structure.build_periodic(tau, horizon)
-        return structure.expand(u @ v, basis), u, v, basis.period
     return u @ v, u, v, horizon
 
 
@@ -473,8 +470,6 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     spec = _spec("noise", NoiseSpec, **p["noise"])
     seed = p["seed"] if seed_override is None else seed_override
     smooth = _smooth_spec(p, horizon, "simulate") if scenario == "smooth" else None
-    if scenario == "periodic":  # here, so that a misfit names tau
-        _spec("tau", structure.build_periodic, tau=p["tau"], horizon=horizon)
 
     m, u, v, period = _simulate_instance(scenario, d, horizon, k, seed,
                                          tau=p.get("tau"), smooth=smooth)
@@ -482,7 +477,7 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
     manifest = _json_text({"config": cfg, "seed": seed,
                            "noise_op_norm": sigma_op_norm(spec, horizon)})
 
-    _publish(out, {"M.csv": _tiles(m, period), "X.csv": (x, 1),
+    _publish(out, {"M.csv": (m[:, :period], horizon // period), "X.csv": (x, 1),
                    "U.csv": (u, 1), "V.csv": (v, 1), "manifest.json": manifest})
 
 
@@ -490,16 +485,13 @@ def cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> None:
 
 def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
     p = _parse(cfg, FIT, "fit")
-    b = p["basis"]
+    params = dict(p["basis"])  # the builder's keyword arguments, and its kind
     x = read_matrix(p["x"])
     horizon = x.shape[1]
-    if b["kind"] == "identity":
-        basis = structure.build_identity(horizon)
-    elif b["kind"] == "periodic":
-        basis = _spec("basis", structure.build_periodic, tau=b["tau"], horizon=horizon)
-    else:
-        basis = _spec("basis", structure.build_trig, n_freq=b["n_freq"], horizon=horizon)
-    model = estimator.fit(x, basis, p["k"])
+    # Looked up on the modules at call time, where perfbench's tracer wraps them.
+    basis = _spec("basis", getattr(structure, "build_" + params.pop("kind")),
+                  horizon=horizon, **params)
+    model = _spec("k", estimator.fit, x=x, basis=basis, k=p["k"])
     m_hat = estimator.predict(model)
     # ||P (L L^T - c I)||_F on the first min(tau, 8) rows P of I_tau.
     probe = np.eye(min(basis.tau, 8), basis.tau)
@@ -513,7 +505,7 @@ def cmd_fit(cfg: dict, out: Path, seed_override: int | None) -> None:
             np.linalg.norm(round_trip - probe, "fro")),
     })
 
-    _publish(out, {"M_hat.csv": _tiles(m_hat, basis.period),
+    _publish(out, {"M_hat.csv": (m_hat[:, :basis.period], horizon // basis.period),
                    "U.csv": (model.u, 1), "V.csv": (model.v, 1),
                    "summary.json": summary})
 

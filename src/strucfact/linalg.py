@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 # Singular values below RANK_RTOL * sigma_1 count as zero for rank purposes.
 RANK_RTOL = 1e-12
+
+
+class ConvergenceError(RuntimeError):
+    """LAPACK's SVD or symmetric eigensolver failed to converge."""
 
 
 def as_matrix(a, stack: bool = False) -> np.ndarray:

@@ -132,6 +132,17 @@ class TestSimulate:
             "config error: tau: horizon 48 must be divisible by tau 7 (")
         assert err.count("\n") == 1
 
+    def test_a_tau_above_the_horizon_exits_2_before_drawing(self, tmp_path,
+                                                            capsys):
+        # A k x tau truth at tau = 10^15 would not fit in memory (exit 3).
+        code, out = run(tmp_path, "simulate", dict(SIM_CFG, T=100, tau=10**15),
+                        "sim")
+        err = assert_rejected(capsys, code, out)
+        assert err.startswith(
+            "config error: tau: horizon 100 must be divisible by tau "
+            f"{10**15} (")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("key, value", [
         ("k", 1.5), ("k", "2"), ("d", 3.0), ("T", "24"), ("seed", "x"),
         ("seed", 1.5), ("seed", -1), ("tau", None), ("schema", True),
@@ -228,6 +239,18 @@ class TestFit:
         err = assert_rejected(capsys, code, out)
         assert err.startswith(f"config error: basis: {message} (")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("shape, k, message", [
+        ((3, 1), 1, "basis: horizon must be at least 2"),
+        ((2, 4), 3, "k: rank k=3 out of range [1, 2]")])
+    def test_a_config_that_misfits_x_names_its_key(self, tmp_path, capsys,
+                                                   shape, k, message):
+        write_matrix(tmp_path / "X.csv", np.ones(shape))
+        fit_cfg = {"x": str(tmp_path / "X.csv"), "basis": {"kind": "identity"},
+                   "k": k}
+        code, out = run(tmp_path, "fit", fit_cfg, "fit_misfit")
+        err = assert_rejected(capsys, code, out)
+        assert err == f"config error: {message}\n"
 
     def test_missing_input_is_io_error(self, tmp_path):
         fit_cfg = {"x": str(tmp_path / "nope.csv"),
@@ -480,6 +503,16 @@ class TestSelect:
         assert code == 0
         winner = json.loads((out / "winner.json").read_text())
         assert winner["chosen_tau"] in (3, 5)
+
+    def test_a_grid_without_bases_exits_2_naming_select(self, tmp_path, capsys):
+        _, sim_out = run(tmp_path, "simulate", SIM_CFG, "sim")
+        capsys.readouterr()
+        sel_cfg = {"x": str(sim_out / "X.csv"), "ranks": [1, 2],
+                   "penalty": {"noise_level": 0.25}}
+        code, out = run(tmp_path, "select", sel_cfg, "sel_empty")
+        err = assert_rejected(capsys, code, out)
+        assert err == ("config error: select: grid must contain at least one "
+                       "basis and one rank\n")
 
 
 # At d = 100 OpenBLAS rounds the d x d Gram matrix of a fit differently at 1
@@ -1156,6 +1189,21 @@ def test_threads_below_one_exit_2_before_any_work(tmp_path, capsys, command,
                     threads=threads)
     err = assert_rejected(capsys, code, out)
     assert err == f"config error: --threads must be >= 1, got {threads}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "select", "rate-check"])
+def test_an_unsupported_schema_exits_2_before_any_work(tmp_path, capsys,
+                                                       command):
+    code, out = run(tmp_path, command, dict(command_cfg(command), schema=2),
+                    "out")
+    err = assert_rejected(capsys, code, out)
+    assert err == "config error: unsupported schema version 2\n"
+
+
+def test_a_non_finite_report_number_is_a_numeric_failure():
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite number in the output"):
+        cli._json_text({"risk": float("nan")})
 
 
 def test_cli_import_loads_no_scipy():

@@ -161,6 +161,21 @@ class TestSigmaOpNorm:
             assert s <= ar1_bound(1.0, rho) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda spec: sample_noise(spec, 0, 5, 0),
+                 "d and horizon must be positive", id="sample_noise-d-0"),
+    pytest.param(lambda spec: sample_noise(spec, 3, 0, 0),
+                 "d and horizon must be positive", id="sample_noise-horizon-0"),
+    pytest.param(lambda spec: covariance_matrix(spec, 0),
+                 "horizon must be positive", id="covariance_matrix-horizon-0"),
+    pytest.param(lambda spec: sigma_op_norm(spec, 0),
+                 "horizon must be positive", id="sigma_op_norm-horizon-0"),
+])
+def test_a_size_below_one_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(NoiseSpec("ar1", sigma=1.0, rho=0.5))
+
+
 class TestProjectedNoiseBound:
     @pytest.mark.parametrize("basis", [
         build_identity(12), build_periodic(3, 12), build_trig(2, 12)])

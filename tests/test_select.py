@@ -45,6 +45,10 @@ class TestPenalty:
             PenaltyParams(lam=1.0, c_pen=1.0, noise_level=1.0)
         with pytest.raises(ValueError):
             PenaltyParams(lam=0.5, c_pen=1.0, noise_level=0.0)
+        with pytest.raises(ValueError, match="c_pen must be nonnegative"):
+            PenaltyParams(lam=0.5, c_pen=-1.0, noise_level=1.0)
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            PenaltyParams(lam=0.5, c_pen=1.0, noise_level=1.0, s=-1.0)
 
 
 class TestGrid:
@@ -55,6 +59,10 @@ class TestGrid:
     def test_unsorted_ranks_rejected(self):
         with pytest.raises(ValueError):
             CandidateGrid([build_periodic(2, 8)], [2, 1])
+
+    def test_nonpositive_rank_rejected(self):
+        with pytest.raises(ValueError, match="ranks must be positive"):
+            CandidateGrid([build_periodic(2, 8)], [0])
 
 
 class TestSelect:

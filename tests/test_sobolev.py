@@ -40,6 +40,16 @@ class TestGeneration:
         w2 = gen_smooth_dictionary(spec, 40, seed=2)
         assert np.max(np.abs(w1 - w2)) > 0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 0, "k must be positive"),
+        ("beta", 0, "beta must be a positive integer"),
+        ("ell", 0.0, "ell must be positive"),
+        ("n_terms", -1, "n_terms must be nonnegative")])
+    def test_spec_rejects_a_bad_field(self, field, value, message):
+        fields = {"k": 1, "beta": 1, "ell": 1.0, "n_terms": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SmoothFactorSpec(**fields)
+
     def test_horizon_too_small(self):
         spec = SmoothFactorSpec(k=1, beta=1, ell=1.0, n_terms=20)
         with pytest.raises(ValueError):
